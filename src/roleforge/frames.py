@@ -189,7 +189,7 @@ class Frame:
 
     __slots__ = (
         "atoms", "mode", "cap", "explicit", "generators",
-        "_window", "_windex", "_bot_mask", "_sum_idx", "_rsr_cache", "__weakref__",
+        "_window", "_windex", "_bot_mask", "_rsr_cache", "__weakref__",
     )
 
     def __init__(
@@ -238,7 +238,6 @@ class Frame:
         self._window: Optional[tuple[Position, ...]] = None
         self._windex: Optional[dict[Position, int]] = None
         self._bot_mask: Optional[int] = None
-        self._sum_idx: dict[tuple[int, int], Optional[int]] = {}
         self._rsr_cache = None
 
     # -- value semantics ----------------------------------------------------
@@ -372,19 +371,6 @@ class Frame:
 
     def in_window(self, p: Position) -> bool:
         return self.window_index(p) is not None
-
-    def sum_index(self, i: int, j: int) -> Optional[int]:
-        """Window index of window[i] + window[j], or None if the sum leaves the window."""
-        if self.mode == "set":
-            return i | j
-        key = (i, j) if i <= j else (j, i)
-        hit = self._sum_idx.get(key, -1)
-        if hit != -1:
-            return hit
-        w = self.window()
-        out = self._windex.get(w[i].add(w[j]))
-        self._sum_idx[key] = out
-        return out
 
     def bot_window_mask(self) -> int:
         """Bitmask (bit i = window position i) of the window part of the relation."""

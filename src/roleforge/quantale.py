@@ -6,8 +6,9 @@ intersection (closed sets are intersection-closed).  The dualizing element is
 the role of the empty position, i.e. the window part of the incoherence
 relation itself; the unit is the closure of the empty position's singleton.
 
-In multiset mode all of this is window-relative: position sums that leave
-the window are dropped from the pre-closure set (and counted, so reports can
+The pre-closure sum sets come from the per-frame kernel in ``rsr``.  In
+multiset mode all of this is window-relative: position sums that leave the
+window are dropped from the pre-closure set (and counted, so reports can
 say whether truncation actually occurred).  Operation tables are memoized
 per lattice, keyed by role indices; every cell is write-once.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .frames import Frame, FrameError
-from .rsr import Role, RoleLattice, _iter_bits, role_lattice, rsr_mask
+from .rsr import Role, RoleLattice, role_lattice, rsr_mask, tensor_sums
 
 RoleRef = Union[Role, int]
 
@@ -81,14 +82,8 @@ class QuantaleOps:
         if hit is not None:
             return hit
         frame = self.frame
-        sums = 0
-        for i in _iter_bits(self.lattice[a].mask):
-            for j in _iter_bits(self.lattice[b].mask):
-                k = frame.sum_index(i, j)
-                if k is None:
-                    self.dropped_sums += 1
-                else:
-                    sums |= 1 << k
+        sums, dropped = tensor_sums(frame, self.lattice[a].mask, self.lattice[b].mask)
+        self.dropped_sums += dropped
         out = self.lattice.index_of(rsr_mask(frame, rsr_mask(frame, sums)))
         self._tensor[key] = out
         return out

@@ -9,15 +9,37 @@ Position sets are bit-vectors: bit ``i`` stands for the window position with
 canonical index ``i``.  Principal blocker sets ``p^bot`` are precomputed once
 per frame and every rsr call is an intersection of them, which is also what
 makes the meet-closure lattice enumeration feasible.
+
+The blockers and the tensor's position sums come from one bit-parallel
+kernel per frame, built on first use:
+
+* set mode -- a window index is the position's 2n-bit code and the sum of
+  two positions is the OR of their codes.  With ``M_k`` the mask of codes
+  having bit k set and ``low = 1 << k`` the lowest bit of ``p``, the
+  blockers follow from one pass over the codes in increasing order:
+  ``c = blk[p ^ low] & M_k; blk[p] = c | (c >> low)``, starting from
+  ``blk[0]``, the window part of the relation.  Adding a position to every
+  member of a mask is one such step per bit of the position.
+* multiset mode -- a position's grid code is ``sum_k q_k * (2cap+1)^k`` over
+  its 2n counts.  Sums of window positions have counts up to ``2*cap``, so
+  codes add without carries and adding a position is a left shift.  The
+  relation is decided once per grid code, and ``p^bot`` is the grid read
+  from ``code(p)`` on and gathered at the window codes in canonical order.
+  Tensor sums shift the grid image of one role by each member of the other;
+  sums that leave the window are dropped and counted.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .frames import Frame, FrameError, Position
 
 DEFAULT_MAX_ROLES = 1 << 20
+# Largest window whose blockers are built: W masks of W bits, 32 MB at the limit.
+MAX_BLOCKER_WINDOW = 1 << 14
 
 
 class LatticeSizeError(FrameError):
@@ -25,23 +47,102 @@ class LatticeSizeError(FrameError):
 
 
 class _RsrCache:
-    __slots__ = ("blockers", "full_mask")
+    """The per-frame kernel: every ``p^bot`` and the tensor's sum sets."""
+
+    __slots__ = ("blockers", "full_mask", "_set_mode", "_with_bit", "_without_bit",
+                 "_codes", "_grid_bits", "_outside", "_gather", "_scatter")
 
     def __init__(self, frame: Frame):
-        window = frame.window()
-        size = len(window)
+        size = frame.window_cardinality()
+        if size > MAX_BLOCKER_WINDOW:
+            raise FrameError(
+                f"window of {size} positions is too large for principal blockers "
+                f"(limit {MAX_BLOCKER_WINDOW})"
+            )
         self.full_mask = (1 << size) - 1
-        # p^bot per window position: one membership scan of the window each.
-        # Sums are decidable up to 2*cap by the frame contract, so no sum is
-        # silently dropped here.
-        blockers = []
-        for p in window:
-            mask = 0
-            for j, q in enumerate(window):
-                if frame.bot_member(p.add(q) if frame.mode == "multiset" else p.union(q)):
-                    mask |= 1 << j
-            blockers.append(mask)
+        self._set_mode = frame.mode == "set"
+        if self._set_mode:
+            self._init_set(frame, size)
+        else:
+            self._init_multiset(frame)
+
+    def _init_set(self, frame: Frame, size: int):
+        with_bit = []
+        for k in range(2 * frame.n):
+            low = 1 << k
+            mask, period = ((1 << low) - 1) << low, 2 * low
+            while period < size:
+                mask |= mask << period
+                period *= 2
+            with_bit.append(mask)
+        self._with_bit = with_bit
+        self._without_bit = [self.full_mask ^ m for m in with_bit]
+        blockers = [frame.bot_window_mask()] * size
+        for p in range(1, size):
+            low = p & -p
+            c = blockers[p ^ low] & with_bit[low.bit_length() - 1]
+            blockers[p] = c | (c >> low)
         self.blockers = blockers
+
+    def _init_multiset(self, frame: Frame):
+        n, radix = frame.n, 2 * frame.cap + 1
+        weights = [radix ** k for k in range(2 * n)]
+        codes = [sum(q * w for q, w in zip(p.left + p.right, weights)) for p in frame.window()]
+        grid_bits = radix ** (2 * n)
+        size = len(codes)
+        # Grid strings hold one '0'/'1' per grid code, lowest code first.
+        # _gather reads the window codes of such a string as a window mask;
+        # _scatter places the digits of a window mask, highest bit first and
+        # a '0' appended, at the grid codes, highest code first.
+        self._gather = itemgetter(*reversed(codes))
+        where = dict(zip(codes, range(size - 1, -1, -1)))
+        self._scatter = itemgetter(*(where.get(c, size) for c in range(grid_bits - 1, -1, -1)))
+        self._codes = codes
+        self._grid_bits = grid_bits
+        self._outside = ((1 << grid_bits) - 1) ^ self._to_grid(self.full_mask)
+        # The relation at every grid code, lowest first: product() varies its
+        # last digit fastest, so its reversed tuples ascend in grid code.
+        bot = []
+        for digits in itertools.product(range(radix), repeat=2 * n):
+            q = digits[::-1]
+            bot.append("1" if frame.bot_member(Position(q[:n], q[n:])) else "0")
+        bot = "".join(bot)
+        gather = self._gather
+        self.blockers = [int("".join(gather(bot[c:])), 2) for c in codes]
+
+    def _to_grid(self, mask: int) -> int:
+        size = len(self._codes)
+        return int("".join(self._scatter(f"{mask:0{size}b}0")), 2)
+
+    def _from_grid(self, grid: int) -> int:
+        return int("".join(self._gather(f"{grid:0{self._grid_bits}b}"[::-1])), 2)
+
+    def tensor_sums(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        """Window mask of the sums a + b (a in A, b in B), and how many of
+        those |A|*|B| sums left the window."""
+        # Both results are symmetric in A and B: loop over the smaller one.
+        if a_mask.bit_count() > b_mask.bit_count():
+            a_mask, b_mask = b_mask, a_mask
+        sums = 0
+        if self._set_mode:
+            with_bit, without_bit = self._with_bit, self._without_bit
+            for a in _iter_bits(a_mask):
+                shifted = b_mask
+                while a:
+                    low = a & -a
+                    k = low.bit_length() - 1
+                    shifted = (shifted & with_bit[k]) | ((shifted & without_bit[k]) << low)
+                    a ^= low
+                sums |= shifted
+            return sums, 0
+        codes, outside = self._codes, self._outside
+        b_grid = self._to_grid(b_mask)
+        dropped = 0
+        for a in _iter_bits(a_mask):
+            shifted = b_grid << codes[a]
+            sums |= shifted
+            dropped += (shifted & outside).bit_count()
+        return self._from_grid(sums), dropped
 
 
 def _cache(frame: Frame) -> _RsrCache:
@@ -56,6 +157,11 @@ def blocker_masks(frame: Frame) -> list[int]:
 
 def full_mask(frame: Frame) -> int:
     return _cache(frame).full_mask
+
+
+def tensor_sums(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
+    """Pre-closure tensor sum set of two window masks, and the dropped-sum count."""
+    return _cache(frame).tensor_sums(a_mask, b_mask)
 
 
 def _iter_bits(mask: int):

@@ -1,10 +1,13 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from roleforge.frames import Frame, Position
-from roleforge.suites import nonmonotonic_demo_frame, nontransitive_demo_frame
+from roleforge.frames import GENERATOR_NAMES, Frame, Position
+from roleforge.suites import (
+    all_one_atom_set_frames, nonmonotonic_demo_frame, nontransitive_demo_frame,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 FRAMES_DIR = REPO / "frames"
@@ -51,3 +54,26 @@ def role_name(golden_roles, role) -> str:
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def kernel_frames():
+    """All one-atom set frames; seeded 2-3 atom set frames under every
+    generator subset; seeded multiset frames with 1 atom at caps 1-8 and 2
+    atoms at caps 1-3, whose explicit positions reach counts up to 2*cap."""
+    frames = list(all_one_atom_set_frames())
+    rng = seeded(505)
+    subsets = [g for r in range(4) for g in itertools.combinations(GENERATOR_NAMES, r)]
+    for names in (("a", "b"), ("a", "b", "c")):
+        for gens in subsets:
+            base = Frame(names, "set")
+            explicit = [p for p in base.window() if rng.random() < 0.3]
+            frames.append(Frame(names, "set", explicit=explicit, generators=gens))
+    for names, caps in ((("x",), range(1, 9)), (("x", "y"), range(1, 4))):
+        for cap in caps:
+            explicit = set()
+            for _ in range(3 * cap):
+                counts = tuple(rng.randint(0, 2 * cap) for _ in range(2 * len(names)))
+                explicit.add(Position(counts[:len(names)], counts[len(names):]))
+            gens = ("diagonal",) if cap % 2 else ("reflexivity",)
+            frames.append(Frame(names, "multiset", cap=cap, explicit=explicit, generators=gens))
+    return frames

@@ -192,3 +192,16 @@ def test_parse_error_is_usage_error(capsys, tmp_path):
 def test_entails_formula_error(capsys):
     code, _, err = run(capsys, "entails", GOLDEN, "a |- (b")
     assert code == 2
+
+
+def test_window_limits_are_usage_errors(capsys, tmp_path):
+    eleven = tmp_path / "eleven.frame"
+    eleven.write_text("atoms = a b c d e f g h i j k\nmode = set\nincoherent { }\n")
+    code, out, err = run(capsys, "positions", str(eleven))
+    assert (code, out) == (2, "")
+    assert "window too large" in err
+    eight = tmp_path / "eight.frame"
+    eight.write_text("atoms = a b c d e f g h\nmode = set\nincoherent { }\n")
+    code, out, err = run(capsys, "rsr", str(eight), "a |-")
+    assert (code, out) == (2, "")
+    assert "too large for principal blockers" in err

@@ -4,10 +4,10 @@ from roleforge.frames import Frame
 from roleforge.quantale import (
     IdempotenceError, IdempotentSubquantale, check_gq_laws, is_join_idempotent, quantale,
 )
-from roleforge.rsr import PositionSet
-from roleforge.suites import all_one_atom_set_frames, random_set_frame
+from roleforge.rsr import LatticeSizeError, PositionSet, closure_mask, role_lattice, tensor_sums
+from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
-from conftest import role_name, seeded
+from conftest import kernel_frames, role_name, seeded
 
 # Operation tables of the golden frame, row/column order U B D L R T.
 ORDER = ["U", "B", "D", "L", "R", "T"]
@@ -252,3 +252,54 @@ def test_tensor_and_join_are_monotone(golden_q):
                     assert q.leq_i(q.join_i(a, c), q.join_i(b, c))
                     assert q.leq_i(q.meet_i(a, c), q.meet_i(b, c))
                 assert q.leq_i(q.neg_i(b), q.neg_i(a))  # negation is antitone
+
+
+# -- the tensor kernel against per-pair sums ------------------------------------------
+
+
+def reference_tensor_sums(frame, a_mask, b_mask):
+    """Pre-closure sum set and dropped-sum count from one window lookup per
+    pair of positions: union in set mode, componentwise sum in multiset mode."""
+    sums = dropped = 0
+    for x in PositionSet(frame, a_mask).positions():
+        for y in PositionSet(frame, b_mask).positions():
+            k = frame.window_index(x.union(y) if frame.mode == "set" else x.add(y))
+            if k is None:
+                dropped += 1
+            else:
+                sums |= 1 << k
+    return sums, dropped
+
+
+@pytest.mark.parametrize("frame", kernel_frames())
+def test_tensor_sums_match_per_pair_sums(frame):
+    rng = seeded(606)
+    full = PositionSet.full(frame).mask
+    pairs = [(0, full), (full, 1), (full, full)]
+    pairs += [
+        (random_position_subset(rng, frame, 0.3).mask, random_position_subset(rng, frame, 0.3).mask)
+        for _ in range(20)
+    ]
+    for a, b in pairs:
+        assert tensor_sums(frame, a, b) == reference_tensor_sums(frame, a, b)
+
+
+def test_tensor_tables_match_per_pair_sums(counting_frame):
+    checked = 0
+    for frame in kernel_frames() + [counting_frame]:
+        try:
+            q = quantale(role_lattice(frame, max_roles=40))
+        except LatticeSizeError:
+            continue
+        n = len(q.lattice)
+        expected = [[None] * n for _ in range(n)]
+        dropped = 0
+        for a in range(n):
+            for b in range(a, n):
+                sums, lost = reference_tensor_sums(frame, q.lattice[a].mask, q.lattice[b].mask)
+                expected[a][b] = expected[b][a] = q.lattice.index_of(closure_mask(frame, sums))
+                dropped += lost
+        assert q.tables()[1] == expected
+        assert q.dropped_sums == dropped
+        checked += 1
+    assert checked >= 25

@@ -1,15 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roleforge.frames import Frame, Position
+from roleforge.frames import Frame, FrameError, Position
 from roleforge.oracles import rsr_naive
 from roleforge.rsr import (
-    LatticeSizeError, PositionSet, Role, closure, is_role, principal_blockers,
-    role_lattice, rsr,
+    MAX_BLOCKER_WINDOW, LatticeSizeError, PositionSet, Role, blocker_masks, closure,
+    is_role, principal_blockers, role_lattice, rsr,
 )
 from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
-from conftest import pos, role_name, seeded
+from conftest import kernel_frames, pos, role_name, seeded
 
 
 # -- rsr ------------------------------------------------------------------------
@@ -87,6 +87,34 @@ def test_counting_tensor_of_translate_roles(counting_frame):
     # independent route: naive closure of the pointwise sums
     sums = [a.add(b) for a in r30.positions() for b in r01.positions() if f.in_window(a.add(b))]
     assert rsr_naive(f, rsr_naive(f, sums)).mask == prod.mask
+
+
+# -- the blocker kernel against the definition -------------------------------------
+
+
+@pytest.mark.parametrize("frame", kernel_frames())
+def test_blocker_kernel_matches_naive_rsr(frame):
+    window = frame.window()
+    blockers = blocker_masks(frame)
+    assert len(blockers) == len(window)
+    for i, p in enumerate(window):
+        assert blockers[i] == rsr_naive(frame, [p]).mask, p.render(frame.atoms)
+    scan = sum(1 << i for i, p in enumerate(window) if frame.bot_member(p))
+    assert frame.bot_window_mask() == scan
+    assert blockers[frame.empty_index()] == scan
+
+
+@pytest.mark.parametrize("frame", [
+    Frame(tuple("abcdefgh"), "set"),
+    Frame(("x",), "multiset", cap=128),
+], ids=["set-8-atoms", "multiset-1-atom-cap-128"])
+def test_blocker_window_limit_fails_fast(frame):
+    assert frame.window_cardinality() > MAX_BLOCKER_WINDOW
+    with pytest.raises(FrameError, match="too large for principal blockers"):
+        blocker_masks(frame)
+    with pytest.raises(FrameError, match="too large for principal blockers"):
+        rsr(frame, [])
+    assert frame._window is None  # refused before the window was built
 
 
 # -- closure ---------------------------------------------------------------------
