@@ -22,7 +22,7 @@ from .formulas import FormulaSyntaxError, parse_formula, parse_sequent, render
 from .frames import Frame, FrameError, Position, parse_frame
 from .morphisms import FrameMorphism, check_conservative, check_continuous
 from .nmms import FormulaSequent, decide, reduction_trace
-from .quantale import check_gq_laws, is_join_idempotent
+from .quantale import QuantaleOps, check_gq_laws, is_join_idempotent
 from .rsr import PositionSet, rsr
 from .semantics import Content, interpretation
 from .suites import (
@@ -85,11 +85,14 @@ def _load_frame(path: str) -> Frame:
 
 
 class _Labels:
-    """Extension-stable display aliases for roles."""
+    """Extension-stable display aliases for roles.
 
-    def __init__(self, frame: Frame, lattice, labels_path: Optional[str]):
+    A role without an alias is labeled ``R<i>`` by its rank in the role
+    lattice, which is enumerated the first time such a label is needed."""
+
+    def __init__(self, frame: Frame, q: QuantaleOps, labels_path: Optional[str]):
         self.frame = frame
-        self.lattice = lattice
+        self.quantale = q
         self.by_mask: dict[int, str] = {}
         if labels_path:
             with open(labels_path, "r", encoding="utf-8") as fh:
@@ -105,7 +108,7 @@ class _Labels:
         hit = self.by_mask.get(mask)
         if hit is not None:
             return hit
-        return f"R{self.lattice.index_of(mask)}"
+        return f"R{self.quantale.lattice.index_of(mask)}"
 
 
 def _positions_text(frame: Frame, ps) -> str:
@@ -205,7 +208,7 @@ def _cmd_lattice(args) -> tuple[int, Report]:
     interp = interpretation(frame)
     q = interp.quantale
     lattice = q.lattice
-    labels = _Labels(frame, lattice, args.labels)
+    labels = _Labels(frame, q, args.labels)
     aliases = [labels.alias(r) for r in lattice]
 
     join_rows, tensor_rows = [], []
@@ -294,7 +297,7 @@ def _cmd_interp(args) -> tuple[int, Report]:
     frame = _load_frame(args.frame)
     interp = interpretation(frame)
     c = interp.atom(args.atom)
-    labels = _Labels(frame, interp.quantale.lattice, args.labels)
+    labels = _Labels(frame, interp.quantale, args.labels)
     result = {"atom": args.atom, **_content_payload(frame, labels, c)}
     report = Report("interp", args.frame, result=result, meta={"cap": frame.cap})
     report.lines = _content_lines(frame, labels, c)
@@ -314,7 +317,7 @@ def _cmd_eval(args) -> tuple[int, Report]:
     interp = interpretation(frame)
     formula = parse_formula(args.formula)
     c = interp.eval(formula, args.clauses)
-    labels = _Labels(frame, interp.quantale.lattice, args.labels)
+    labels = _Labels(frame, interp.quantale, args.labels)
     result = {"formula": render(formula), "clauses": args.clauses,
               **_content_payload(frame, labels, c)}
     report = Report("interp", args.frame, result=result, meta={"cap": frame.cap})

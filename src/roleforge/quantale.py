@@ -1,4 +1,4 @@
-"""Girard-quantale operations on the role lattice.
+"""Girard-quantale operations on roles.
 
 The tensor of two roles is the closure of their pointwise position sums, the
 join is the closure of their union, negation is rsr, and the meet is plain
@@ -9,18 +9,27 @@ relation itself; the unit is the closure of the empty position's singleton.
 The pre-closure sum sets come from the per-frame kernel in ``rsr``.  In
 multiset mode all of this is window-relative: position sums that leave the
 window are dropped from the pre-closure set (and counted, so reports can
-say whether truncation actually occurred).  Operation tables are memoized
-per lattice, keyed by role indices; every cell is write-once.
+say whether truncation actually occurred).
+
+A role is its closed mask: ``tensor_mask``, ``join_mask`` and ``neg_mask``
+are memoized by mask and need no lattice.  The index API (``tensor_i`` and
+friends) numbers roles by their rank in the role lattice, which is
+enumerated on first access to ``lattice``; its tables are a memo over the
+mask operations, keyed by role indices.  Every cell is write-once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .frames import Frame, FrameError
-from .rsr import Role, RoleLattice, role_lattice, rsr_mask, tensor_sums
+from .rsr import (
+    Role, RoleLattice, blocker_masks, closure_mask, role_lattice, rsr_mask, tensor_sums,
+)
 
 RoleRef = Union[Role, int]
 
@@ -30,11 +39,18 @@ class IdempotenceError(FrameError):
 
 
 class QuantaleOps:
-    """Memoized Girard-quantale structure over a role lattice."""
+    """Memoized Girard-quantale structure of a frame's roles."""
 
-    def __init__(self, lattice: RoleLattice):
-        self.lattice = lattice
-        self.frame = lattice.frame
+    def __init__(self, frame_or_lattice: Union[Frame, RoleLattice]):
+        if isinstance(frame_or_lattice, RoleLattice):
+            self._lattice: Optional[RoleLattice] = frame_or_lattice
+            self.frame = frame_or_lattice.frame
+        else:
+            self._lattice = None
+            self.frame = frame_or_lattice
+        self._tensor_masks: dict[tuple[int, int], int] = {}
+        self._join_masks: dict[tuple[int, int], int] = {}
+        self._neg_masks: dict[int, int] = {}
         self._tensor: dict[tuple[int, int], int] = {}
         self._join: dict[tuple[int, int], int] = {}
         self._neg: dict[int, int] = {}
@@ -43,10 +59,15 @@ class QuantaleOps:
         self.dropped_sums = 0
 
         frame = self.frame
-        empty = frame.empty_index()
-        self.dualizer_index = lattice.index_of(rsr_mask(frame, 1 << empty))
-        self.unit_index = lattice.index_of(rsr_mask(frame, lattice[self.dualizer_index].mask))
-        self.bottom_index = lattice.bottom_index
+        # rsr of the empty position's singleton is its principal blocker.
+        self.dualizer_mask = blocker_masks(frame)[frame.empty_index()]
+        self.unit_mask = rsr_mask(frame, self.dualizer_mask)
+
+    @property
+    def lattice(self) -> RoleLattice:
+        if self._lattice is None:
+            self._lattice = role_lattice(self.frame)
+        return self._lattice
 
     # -- indices <-> roles ----------------------------------------------------
 
@@ -57,6 +78,18 @@ class QuantaleOps:
 
     def role(self, i: int) -> Role:
         return self.lattice[i]
+
+    @property
+    def unit_index(self) -> int:
+        return self.lattice.index_of(self.unit_mask)
+
+    @property
+    def dualizer_index(self) -> int:
+        return self.lattice.index_of(self.dualizer_mask)
+
+    @property
+    def bottom_index(self) -> int:
+        return self.lattice.bottom_index
 
     @property
     def unit(self) -> Role:
@@ -74,47 +107,81 @@ class QuantaleOps:
     def window_relative(self) -> bool:
         return self.frame.mode == "multiset"
 
-    # -- core operations -------------------------------------------------------
+    # -- operations on closed masks ---------------------------------------------
+
+    def tensor_mask(self, a: int, b: int) -> int:
+        key = (a, b) if a <= b else (b, a)
+        hit = self._tensor_masks.get(key)
+        if hit is None:
+            sums, dropped = tensor_sums(self.frame, a, b)
+            self.dropped_sums += dropped
+            hit = self._tensor_masks[key] = closure_mask(self.frame, sums)
+        return hit
+
+    def join_mask(self, a: int, b: int) -> int:
+        key = (a, b) if a <= b else (b, a)
+        hit = self._join_masks.get(key)
+        if hit is None:
+            hit = self._join_masks[key] = closure_mask(self.frame, a | b)
+        return hit
+
+    def neg_mask(self, a: int) -> int:
+        hit = self._neg_masks.get(a)
+        if hit is None:
+            hit = self._neg_masks[a] = rsr_mask(self.frame, a)
+        return hit
+
+    def meet_mask(self, a: int, b: int) -> int:
+        return a & b
+
+    def parr_mask(self, a: int, b: int) -> int:
+        return self.neg_mask(self.tensor_mask(self.neg_mask(a), self.neg_mask(b)))
+
+    def leq_mask(self, a: int, b: int) -> bool:
+        return a | b == b
+
+    def tilde_join_mask(self, a: int, b: int) -> int:
+        if self.tensor_mask(a, a) != a:
+            raise IdempotenceError("left argument of tilde-join is not idempotent")
+        if self.tensor_mask(b, b) != b:
+            raise IdempotenceError("right argument of tilde-join is not idempotent")
+        return self.join_mask(self.join_mask(a, b), self.tensor_mask(a, b))
+
+    # -- the same operations on role indices -------------------------------------
 
     def tensor_i(self, a: int, b: int) -> int:
         key = (a, b) if a <= b else (b, a)
         hit = self._tensor.get(key)
-        if hit is not None:
-            return hit
-        frame = self.frame
-        sums, dropped = tensor_sums(frame, self.lattice[a].mask, self.lattice[b].mask)
-        self.dropped_sums += dropped
-        out = self.lattice.index_of(rsr_mask(frame, rsr_mask(frame, sums)))
-        self._tensor[key] = out
-        return out
+        if hit is None:
+            lat = self.lattice
+            hit = self._tensor[key] = lat.index_of(self.tensor_mask(lat[a].mask, lat[b].mask))
+        return hit
 
     def join_i(self, a: int, b: int) -> int:
         key = (a, b) if a <= b else (b, a)
         hit = self._join.get(key)
-        if hit is not None:
-            return hit
-        union = self.lattice[a].mask | self.lattice[b].mask
-        out = self.lattice.index_of(rsr_mask(self.frame, rsr_mask(self.frame, union)))
-        self._join[key] = out
-        return out
+        if hit is None:
+            lat = self.lattice
+            hit = self._join[key] = lat.index_of(self.join_mask(lat[a].mask, lat[b].mask))
+        return hit
 
     def meet_i(self, a: int, b: int) -> int:
-        return self.lattice.index_of(self.lattice[a].mask & self.lattice[b].mask)
+        lat = self.lattice
+        return lat.index_of(lat[a].mask & lat[b].mask)
 
     def neg_i(self, a: int) -> int:
         hit = self._neg.get(a)
-        if hit is not None:
-            return hit
-        out = self.lattice.index_of(rsr_mask(self.frame, self.lattice[a].mask))
-        self._neg[a] = out
-        return out
+        if hit is None:
+            lat = self.lattice
+            hit = self._neg[a] = lat.index_of(self.neg_mask(lat[a].mask))
+        return hit
 
     def parr_i(self, a: int, b: int) -> int:
-        return self.neg_i(self.tensor_i(self.neg_i(a), self.neg_i(b)))
+        lat = self.lattice
+        return lat.index_of(self.parr_mask(lat[a].mask, lat[b].mask))
 
     def leq_i(self, a: int, b: int) -> bool:
-        ma, mb = self.lattice[a].mask, self.lattice[b].mask
-        return ma | mb == mb
+        return self.leq_mask(self.lattice[a].mask, self.lattice[b].mask)
 
     def tensor(self, a: RoleRef, b: RoleRef) -> Role:
         return self.role(self.tensor_i(self._idx(a), self._idx(b)))
@@ -144,11 +211,8 @@ class QuantaleOps:
         return self._idempotents
 
     def tilde_join_i(self, a: int, b: int) -> int:
-        if not self.is_idempotent_i(a):
-            raise IdempotenceError("left argument of tilde-join is not idempotent")
-        if not self.is_idempotent_i(b):
-            raise IdempotenceError("right argument of tilde-join is not idempotent")
-        return self.join_i(self.join_i(a, b), self.tensor_i(a, b))
+        lat = self.lattice
+        return lat.index_of(self.tilde_join_mask(lat[a].mask, lat[b].mask))
 
     def tilde_join(self, a: RoleRef, b: RoleRef) -> Role:
         return self.role(self.tilde_join_i(self._idx(a), self._idx(b)))
@@ -193,9 +257,8 @@ class IdempotentSubquantale:
 
 
 def quantale(frame_or_lattice: Union[Frame, RoleLattice]) -> QuantaleOps:
-    if isinstance(frame_or_lattice, RoleLattice):
-        return QuantaleOps(frame_or_lattice)
-    return QuantaleOps(role_lattice(frame_or_lattice))
+    """The quantale of a frame; its lattice is enumerated on first use."""
+    return QuantaleOps(frame_or_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +311,43 @@ def check_gq_laws(
     samples: int = 1000,
 ) -> LawReport:
     """Verify the Girard-quantale laws on all roles, or on a seeded sample
-    of triples when the lattice exceeds ``exhaustive_limit`` roles."""
+    of triples when the lattice exceeds ``exhaustive_limit`` roles.
+
+    The laws are read off operation tables (``tensor[a][b]``).  The
+    exhaustive check fills the join, tensor, negation and meet tables once,
+    through the index API; the sampled check fills only the cells it reads,
+    since a full table would cost n^2 tensors."""
     n = len(q.lattice)
     exhaustive = n <= exhaustive_limit
     if exhaustive:
-        triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-        pairs = [(a, b) for a in range(n) for b in range(n)]
-        singles = list(range(n))
+        rows = range(n)
+        join, tensor = q.tables()
+        neg = [q.neg_i(a) for a in rows]
+        meet = [[q.meet_i(a, b) for b in rows] for a in rows]
+
+        def triples():
+            return itertools.product(rows, repeat=3)
+
+        def pairs():
+            return itertools.product(rows, repeat=2)
+
+        singles = [(a,) for a in rows]
     else:
+        join, tensor, meet = _lazy_table(q.join_i), _lazy_table(q.tensor_i), _lazy_table(q.meet_i)
+        neg = _Lazy(q.neg_i)
         rng = random.Random(seed)
-        triples = [
+        sampled = [
             (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)
         ]
-        pairs = [(a, b) for a, b, _ in triples]
-        singles = sorted({a for a, _, _ in triples})
+        sampled_pairs = [(a, b) for a, b, _ in sampled]
+
+        def triples():
+            return sampled
+
+        def pairs():
+            return sampled_pairs
+
+        singles = [(a,) for a in sorted({a for a, _, _ in sampled})]
 
     report = LawReport(frame=q.frame, exhaustive=exhaustive)
 
@@ -272,31 +358,49 @@ def check_gq_laws(
                 return
         report.checks.append(LawCheck(law, True))
 
+    unit = q.unit_index
     first_failure(
-        "tensor-associative", triples,
-        lambda a, b, c: q.tensor_i(q.tensor_i(a, b), c) == q.tensor_i(a, q.tensor_i(b, c)),
+        "tensor-associative", triples(),
+        lambda a, b, c: tensor[tensor[a][b]][c] == tensor[a][tensor[b][c]],
     )
     first_failure(
-        "tensor-commutative", pairs,
-        lambda a, b: q.tensor_i(a, b) == q.tensor_i(b, a),
+        "tensor-commutative", pairs(),
+        lambda a, b: tensor[a][b] == tensor[b][a],
     )
     first_failure(
-        "tensor-unital", [(a,) for a in singles],
-        lambda a: q.tensor_i(q.unit_index, a) == a,
+        "tensor-unital", singles,
+        lambda a: tensor[unit][a] == a,
     )
     first_failure(
-        "tensor-distributes-over-join", triples,
-        lambda a, b, c: q.tensor_i(a, q.join_i(b, c)) == q.join_i(q.tensor_i(a, b), q.tensor_i(a, c)),
+        "tensor-distributes-over-join", triples(),
+        lambda a, b, c: tensor[a][join[b][c]] == join[tensor[a][b]][tensor[a][c]],
     )
     first_failure(
-        "negation-involutive", [(a,) for a in singles],
-        lambda a: q.neg_i(q.neg_i(a)) == a,
+        "negation-involutive", singles,
+        lambda a: neg[neg[a]] == a,
     )
     first_failure(
-        "meet-de-morgan", pairs,
-        lambda a, b: q.meet_i(a, b) == q.neg_i(q.join_i(q.neg_i(a), q.neg_i(b))),
+        "meet-de-morgan", pairs(),
+        lambda a, b: meet[a][b] == neg[join[neg[a]][neg[b]]],
     )
     return report
+
+
+class _Lazy(dict):
+    """A table whose entry ``key`` is ``make(key)``, made on first read."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _lazy_table(op) -> _Lazy:
+    """The table of a binary operation, ``table[a][b] == op(a, b)``."""
+    return _Lazy(lambda a: _Lazy(functools.partial(op, a)))
 
 
 def is_join_idempotent(q: QuantaleOps) -> bool:

@@ -7,8 +7,12 @@ the frame's Girard quantale.
 
 Position sets are bit-vectors: bit ``i`` stands for the window position with
 canonical index ``i``.  Principal blocker sets ``p^bot`` are precomputed once
-per frame and every rsr call is an intersection of them, which is also what
-makes the meet-closure lattice enumeration feasible.
+per frame and every rsr call is an intersection of them.  A role is a closed
+mask, so the quantale and the semantics work on masks and never need the
+whole lattice; ``role_lattice`` enumerates it only for callers that list or
+number the roles.  Since every role is an intersection of blockers, it
+adds one distinct blocker at a time and meets it with the roles found so
+far: O(G*R) intersections for G distinct blockers and R roles.
 
 The blockers and the tensor's position sums come from one bit-parallel
 kernel per frame, built on first use:
@@ -165,10 +169,23 @@ def tensor_sums(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
 
 
 def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of ``mask``, ascending."""
+    # Stripping the lowest bit copies the whole int each time, which is
+    # quadratic in the width; a binary-string scan pays a fixed cost for
+    # bin() instead.  The two break even between about 300 and 1024 bits:
+    # the loop is up to 2x faster on the 16-289-bit masks of 1-3-atom
+    # frames, the scan 10x faster on the 16384-bit window of 7 atoms.
+    if mask.bit_length() <= 1024:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def rsr_mask(frame: Frame, mask: int) -> int:
@@ -270,17 +287,25 @@ def _as_mask(frame: Frame, A: PositionSetLike) -> int:
     return PositionSet.from_positions(frame, A).mask
 
 
+# rsr, closure and is_role fetch the kernel before reading their argument:
+# the kernel refuses a frame too large for blockers before the window that
+# indexes the argument's positions is built.
+
+
 def rsr(frame: Frame, A: PositionSetLike) -> Role:
     """Range of subjunctive robustness of A; rsr of the empty set is the full window."""
+    _cache(frame)
     return Role(frame, rsr_mask(frame, _as_mask(frame, A)))
 
 
 def closure(frame: Frame, A: PositionSetLike) -> Role:
     """Double-negation closure rsr(rsr(A))."""
+    _cache(frame)
     return Role(frame, closure_mask(frame, _as_mask(frame, A)))
 
 
 def is_role(frame: Frame, A: PositionSetLike) -> bool:
+    _cache(frame)
     mask = _as_mask(frame, A)
     return closure_mask(frame, mask) == mask
 
@@ -340,23 +365,16 @@ class RoleLattice:
 
 
 def role_lattice(frame: Frame, max_roles: int = DEFAULT_MAX_ROLES) -> RoleLattice:
-    """Enumerate the role lattice by intersection-closing the principal blockers."""
-    generators = set(blocker_masks(frame))
-    generators.add(full_mask(frame))
-    closed = set(generators)
-    frontier = list(generators)
-    while frontier:
-        x = frontier.pop()
-        fresh = []
-        for y in closed:
-            z = x & y
-            if z not in closed and z not in fresh:
-                fresh.append(z)
-        for z in fresh:
-            closed.add(z)
-            frontier.append(z)
-            if len(closed) > max_roles:
-                raise LatticeSizeError(
-                    f"role lattice exceeds {max_roles} roles; raise max_roles to proceed"
-                )
+    """Enumerate the role lattice: every intersection of principal blockers.
+
+    Starting from the full window (the empty intersection), each distinct
+    blocker in turn is met with every role found so far.
+    """
+    closed = {full_mask(frame)}
+    for g in set(blocker_masks(frame)):
+        closed |= {x & g for x in closed}
+        if len(closed) > max_roles:
+            raise LatticeSizeError(
+                f"role lattice exceeds {max_roles} roles; raise max_roles to proceed"
+            )
     return RoleLattice(frame, closed)

@@ -15,6 +15,11 @@ quantale operations, with two clause families:
 
 A sequent of contents holds when the tensor of all left premisory roles and
 all right conclusory roles lands inside the dualizer role.
+
+A role is computed as its closed mask: contents are evaluated and sequents
+decided with the quantale's mask operations, which need only the frame's
+blockers.  The role lattice is enumerated only by callers that number
+roles (``QuantaleOps.lattice``), never by evaluation or consequence.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .formulas import (
 )
 from .frames import Frame, FrameError, ModeMismatchError, Position
 from .quantale import IdempotenceError, QuantaleOps, quantale
-from .rsr import Role, blocker_masks
+from .rsr import Role, blocker_masks, closure_mask, is_role
 
 CLAUSE_SETS = ("classical", "linear")
 
@@ -58,41 +63,40 @@ class ContentSequent(NamedTuple):
 
 FormulaLike = Union[Formula, str]
 EntryLike = Union[Content, Formula, str]
+# A content as the closed masks of its premisory and conclusory roles.
+MaskContent = tuple[int, int]
 
 
 class Interpretation:
-    """Evaluation context for one frame: lattice, quantale, and content caches."""
+    """Evaluation context for one frame: its quantale and content caches.
+
+    Contents are evaluated as pairs of closed masks, memoized per formula,
+    so evaluation and consequence never enumerate the role lattice.
+    """
 
     def __init__(self, frame: Frame, ops: Optional[QuantaleOps] = None):
         self.frame = frame
         self.quantale = ops if ops is not None else quantale(frame)
-        self._eval_cache: dict[tuple[Formula, str], tuple[int, int]] = {}
+        self._eval_cache: dict[tuple[Formula, str], MaskContent] = {}
 
     # -- atoms ----------------------------------------------------------------
 
-    def _atom_indices(self, name: str) -> tuple[int, int]:
+    def _atom_masks(self, name: str) -> MaskContent:
         if name not in self.frame.atoms:
             raise FrameError(f"unknown atom {name!r}")
         key = (Atom(name), "atom")
         hit = self._eval_cache.get(key)
         if hit is None:
-            q = self.quantale
-            left = self.frame.position([name], [])
-            right = self.frame.position([], [name])
-            plus = q.lattice.index_of(
-                _closure_index_mask(q, left)
+            frame = self.frame
+            hit = (
+                _position_closure(frame, frame.position([name], [])),
+                _position_closure(frame, frame.position([], [name])),
             )
-            minus = q.lattice.index_of(
-                _closure_index_mask(q, right)
-            )
-            hit = (plus, minus)
             self._eval_cache[key] = hit
         return hit
 
     def atom(self, name: str) -> Content:
-        plus, minus = self._atom_indices(name)
-        q = self.quantale
-        return Content(q.role(plus), q.role(minus))
+        return self._content(self._atom_masks(name))
 
     # -- formula evaluation -----------------------------------------------------
 
@@ -109,37 +113,34 @@ class Interpretation:
                 f"connectives {sorted(stray)} are not part of the {clauses} clause set"
             )
 
-    def _eval_indices(self, f: Formula, clauses: str) -> tuple[int, int]:
+    def _eval_masks(self, f: Formula, clauses: str) -> MaskContent:
         key = (f, clauses)
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        q = self.quantale
         if isinstance(f, Atom):
-            out = self._atom_indices(f.name)
+            out = self._atom_masks(f.name)
         elif isinstance(f, Neg):
-            plus, minus = self._eval_indices(f.sub, clauses)
+            plus, minus = self._eval_masks(f.sub, clauses)
             out = (minus, plus)
         else:
             assert isinstance(f, Bin)
-            a = self._eval_indices(f.left, clauses)
-            b = self._eval_indices(f.right, clauses)
+            a = self._eval_masks(f.left, clauses)
+            b = self._eval_masks(f.right, clauses)
             if clauses == "classical":
                 out = self._classical_bin(f.op, a, b)
             else:
-                out = self._linear_bin(f.op, a, b)
+                out = connective_clause(self.quantale, f.op, a, b)
         self._eval_cache[key] = out
         return out
 
-    def _and_clause(self, a, b) -> tuple[int, int]:
-        q = self.quantale
+    def _and_clause(self, a: MaskContent, b: MaskContent) -> MaskContent:
         try:
-            minus = q.tilde_join_i(a[1], b[1])
+            return connective_clause(self.quantale, "and", a, b)
         except IdempotenceError as exc:
             raise ClauseError(f"and-clause on a non-idempotent conclusory role: {exc}") from exc
-        return (q.tensor_i(a[0], b[0]), minus)
 
-    def _classical_bin(self, op, a, b) -> tuple[int, int]:
+    def _classical_bin(self, op, a: MaskContent, b: MaskContent) -> MaskContent:
         if op == "and":
             return self._and_clause(a, b)
         if op == "or":
@@ -149,35 +150,29 @@ class Interpretation:
         plus, minus = self._and_clause(a, (b[1], b[0]))
         return (minus, plus)
 
-    def _linear_bin(self, op, a, b) -> tuple[int, int]:
-        q = self.quantale
-        if op == "tensor":
-            return (q.tensor_i(a[0], b[0]), q.parr_i(a[1], b[1]))
-        if op == "plus":
-            return (q.join_i(a[0], b[0]), q.meet_i(a[1], b[1]))
-        if op == "parr":
-            return (q.parr_i(a[0], b[0]), q.tensor_i(a[1], b[1]))
-        assert op == "with"
-        return (q.meet_i(a[0], b[0]), q.join_i(a[1], b[1]))
-
     def eval(self, f: FormulaLike, clauses: str = "classical") -> Content:
         if isinstance(f, str):
             f = parse_formula(f)
         self._check_fragment(f, clauses)
-        plus, minus = self._eval_indices(f, clauses)
-        q = self.quantale
-        return Content(q.role(plus), q.role(minus))
+        return self._content(self._eval_masks(f, clauses))
+
+    def _content(self, masks: MaskContent) -> Content:
+        return Content(Role(self.frame, masks[0]), Role(self.frame, masks[1]))
+
+    def _role_mask(self, role: Role) -> int:
+        if not is_role(self.frame, role):
+            raise FrameError("set is not a role of this frame")
+        return role.mask
 
     # -- consequence -------------------------------------------------------------
 
-    def _as_content_indices(self, entry: EntryLike, clauses: str) -> tuple[int, int]:
+    def _as_content_masks(self, entry: EntryLike, clauses: str) -> MaskContent:
         if isinstance(entry, Content):
-            lat = self.quantale.lattice
-            return (lat.index_of(entry.premisory), lat.index_of(entry.conclusory))
+            return (self._role_mask(entry.premisory), self._role_mask(entry.conclusory))
         if isinstance(entry, str):
             entry = parse_formula(entry)
         self._check_fragment(entry, clauses)
-        return self._eval_indices(entry, clauses)
+        return self._eval_masks(entry, clauses)
 
     def entails(
         self,
@@ -193,18 +188,21 @@ class Interpretation:
         mode the sides are read as content *sets* (duplicates collapse); in
         multiset mode multiplicity counts.
         """
+        left = [self._as_content_masks(e, clauses) for e in lhs]
+        right = [self._as_content_masks(e, clauses) for e in rhs]
+        return self._entails_masks(left, right)
+
+    def _entails_masks(self, left: Sequence[MaskContent], right: Sequence[MaskContent]) -> bool:
         q = self.quantale
-        left = [self._as_content_indices(e, clauses) for e in lhs]
-        right = [self._as_content_indices(e, clauses) for e in rhs]
         if self.frame.mode == "set":
             left = list(dict.fromkeys(left))
             right = list(dict.fromkeys(right))
-        acc = q.unit_index
+        acc = q.unit_mask
         for plus, _ in left:
-            acc = q.tensor_i(acc, plus)
+            acc = q.tensor_mask(acc, plus)
         for _, minus in right:
-            acc = q.tensor_i(acc, minus)
-        return q.leq_i(acc, q.dualizer_index)
+            acc = q.tensor_mask(acc, minus)
+        return q.leq_mask(acc, q.dualizer_mask)
 
     def entails_sequent(self, sequent: Union[str, ContentSequent], clauses: str = "classical") -> bool:
         if isinstance(sequent, str):
@@ -220,15 +218,13 @@ class Interpretation:
     def is_reflexive_content(self, c: Content) -> bool:
         """Whether c entails itself: premisory x conclusory lands in the dualizer."""
         q = self.quantale
-        lat = q.lattice
-        prod = q.tensor_i(lat.index_of(c.premisory), lat.index_of(c.conclusory))
-        return q.leq_i(prod, q.dualizer_index)
+        prod = q.tensor_mask(self._role_mask(c.premisory), self._role_mask(c.conclusory))
+        return q.leq_mask(prod, q.dualizer_mask)
 
     def satisfies_cut_condition(self, c: Content) -> bool:
         """Whether the dual of the conclusory role is contained in the premisory role."""
         q = self.quantale
-        lat = q.lattice
-        return q.leq_i(q.neg_i(lat.index_of(c.conclusory)), lat.index_of(c.premisory))
+        return q.leq_mask(q.neg_mask(self._role_mask(c.conclusory)), self._role_mask(c.premisory))
 
 
 @functools.lru_cache(maxsize=256)
@@ -237,13 +233,11 @@ def interpretation(frame: Frame) -> Interpretation:
     return Interpretation(frame)
 
 
-def _closure_index_mask(q: QuantaleOps, p: Position) -> int:
-    from .rsr import closure_mask
-
-    idx = q.frame.window_index(p)
+def _position_closure(frame: Frame, p: Position) -> int:
+    idx = frame.window_index(p)
     if idx is None:
-        raise FrameError(f"position outside the window: {p.render(q.frame.atoms)}")
-    return closure_mask(q.frame, 1 << idx)
+        raise FrameError(f"position outside the window: {p.render(frame.atoms)}")
+    return closure_mask(frame, 1 << idx)
 
 
 # -- spec-level convenience functions ----------------------------------------
@@ -278,32 +272,30 @@ def satisfies_cut_condition(frame: Frame, c: Content) -> bool:
 # Clause families in their two published shapes
 # ---------------------------------------------------------------------------
 
-IndexContent = tuple[int, int]
 
-
-def connective_clause(q: QuantaleOps, op: str, a: IndexContent, b: IndexContent) -> IndexContent:
-    """Twisted/mixed-quantale shape of the connective clauses (index form)."""
+def connective_clause(q: QuantaleOps, op: str, a: MaskContent, b: MaskContent) -> MaskContent:
+    """Twisted/mixed-quantale shape of the connective clauses, on closed masks."""
     if op == "tensor":
-        return (q.tensor_i(a[0], b[0]), q.parr_i(a[1], b[1]))
+        return (q.tensor_mask(a[0], b[0]), q.parr_mask(a[1], b[1]))
     if op == "plus":
-        return (q.join_i(a[0], b[0]), q.meet_i(a[1], b[1]))
+        return (q.join_mask(a[0], b[0]), q.meet_mask(a[1], b[1]))
     if op == "parr":
-        return (q.parr_i(a[0], b[0]), q.tensor_i(a[1], b[1]))
+        return (q.parr_mask(a[0], b[0]), q.tensor_mask(a[1], b[1]))
     if op == "with":
-        return (q.meet_i(a[0], b[0]), q.join_i(a[1], b[1]))
+        return (q.meet_mask(a[0], b[0]), q.join_mask(a[1], b[1]))
     if op == "and":
-        return (q.tensor_i(a[0], b[0]), q.tilde_join_i(a[1], b[1]))
+        return (q.tensor_mask(a[0], b[0]), q.tilde_join_mask(a[1], b[1]))
     raise ValueError(f"no clause for {op!r}")
 
 
-def symjunction_clause(q: QuantaleOps, op: str, a: IndexContent, b: IndexContent) -> IndexContent:
+def symjunction_clause(q: QuantaleOps, op: str, a: MaskContent, b: MaskContent) -> MaskContent:
     """The same clauses written with adjunction/symjunction and rsr only.
 
     Adjunction of roles is tensor, symjunction is join; negations are spelled
     out instead of using meet/parr directly, so this is an independent route
     for the clause-agreement check.
     """
-    tensor, join, neg = q.tensor_i, q.join_i, q.neg_i
+    tensor, join, neg = q.tensor_mask, q.join_mask, q.neg_mask
     if op == "tensor":
         return (tensor(a[0], b[0]), neg(tensor(neg(a[1]), neg(b[1]))))
     if op == "plus":

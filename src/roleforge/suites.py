@@ -19,7 +19,7 @@ from .nmms import FormulaSequent, decide
 from .oracles import MallBoundError, classical_valid, mall_provable
 from .quantale import QuantaleOps
 from .semantics import (
-    Content, Interpretation, connective_clause, interpretation, symjunction_clause,
+    Interpretation, MaskContent, connective_clause, interpretation, symjunction_clause,
 )
 
 CLASSICAL_BIN_OPS = ("and", "or", "imp")
@@ -229,11 +229,11 @@ def clause_agreement_suite(frame: Frame) -> SuiteResult:
     """Twisted-quantale clauses vs their adjunction/symjunction spellings,
     on every role pair, for the four linear connectives."""
     q = interpretation(frame).quantale
-    n = len(q.lattice)
+    masks = [r.mask for r in q.lattice]
     result = SuiteResult("clause-agreement")
-    for i in range(n):
-        for j in range(n):
-            a, b = (i, i), (j, j)
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            a, b = (x, x), (y, y)
             for op in LINEAR_BIN_OPS:
                 result.checked += 1
                 if connective_clause(q, op, a, b) != symjunction_clause(q, op, a, b):
@@ -297,11 +297,19 @@ def supraclassical_suite(
     return result
 
 
-def _distinct_contents(interp: Interpretation, pool: Sequence[Formula]) -> list[tuple[int, int]]:
-    out: dict[tuple[int, int], None] = {}
+def _distinct_contents(interp: Interpretation, pool: Sequence[Formula]) -> list[MaskContent]:
+    out: dict[MaskContent, None] = {}
     for f in pool:
-        out.setdefault(interp._eval_indices(f, "classical"), None)
+        out.setdefault(interp._eval_masks(f, "classical"), None)
     return list(out)
+
+
+def _index_pair(q: QuantaleOps, c: MaskContent) -> tuple[int, int]:
+    return (q.lattice.index_of(c[0]), q.lattice.index_of(c[1]))
+
+
+def _mask_pair(q: QuantaleOps, c: tuple[int, int]) -> MaskContent:
+    return (q.lattice[c[0]].mask, q.lattice[c[1]].mask)
 
 
 def robbins_suite(frame: Frame, *, depth: int = 2) -> SuiteResult:
@@ -324,11 +332,9 @@ def robbins_suite(frame: Frame, *, depth: int = 2) -> SuiteResult:
         for b in contents:
             not_b = (b[1], b[0])
             w = connective_clause(q, "and", or_clause(a, b), or_clause(a, not_b))
-            c_w = Content(q.role(w[0]), q.role(w[1]))
-            c_a = Content(q.role(a[0]), q.role(a[1]))
             result.checked += 1
-            if not (interp.entails([c_w], [c_a]) and interp.entails([c_a], [c_w])):
-                result.violations.append({"A": a, "B": b})
+            if not (interp._entails_masks([w], [a]) and interp._entails_masks([a], [w])):
+                result.violations.append({"A": _index_pair(q, a), "B": _index_pair(q, b)})
     return result
 
 
@@ -407,9 +413,9 @@ def twisted_preservation_suite(
         a = refl[rng.randrange(len(refl))]
         b = refl[rng.randrange(len(refl))]
         for op in ("tensor", "plus"):
-            plus, minus = connective_clause(q, op, a, b)
+            plus, minus = connective_clause(q, op, _mask_pair(q, a), _mask_pair(q, b))
             result.checked += 1
-            if not q.leq_i(q.tensor_i(plus, minus), q.dualizer_index):
+            if not q.leq_mask(q.tensor_mask(plus, minus), q.dualizer_mask):
                 result.violations.append({"frame": repr(frame), "op": op, "a": a, "b": b})
     return result
 

@@ -200,8 +200,9 @@ def test_window_limits_are_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "positions", str(eleven))
     assert (code, out) == (2, "")
     assert "window too large" in err
-    eight = tmp_path / "eight.frame"
-    eight.write_text("atoms = a b c d e f g h\nmode = set\nincoherent { }\n")
-    code, out, err = run(capsys, "rsr", str(eight), "a |-")
-    assert (code, out) == (2, "")
-    assert "too large for principal blockers" in err
+    for names in ("a b c d e f g h", "a b c d e f g h i"):
+        big = tmp_path / f"{len(names.split())}.frame"
+        big.write_text(f"atoms = {names}\nmode = set\nincoherent {{ }}\n")
+        code, out, err = run(capsys, "rsr", str(big), "a |-")
+        assert (code, out) == (2, "")
+        assert "too large for principal blockers" in err

@@ -5,7 +5,7 @@ from roleforge.frames import Frame, FrameError, Position
 from roleforge.oracles import rsr_naive
 from roleforge.rsr import (
     MAX_BLOCKER_WINDOW, LatticeSizeError, PositionSet, Role, blocker_masks, closure,
-    is_role, principal_blockers, role_lattice, rsr,
+    _iter_bits, is_role, principal_blockers, role_lattice, rsr,
 )
 from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
@@ -112,9 +112,22 @@ def test_blocker_window_limit_fails_fast(frame):
     assert frame.window_cardinality() > MAX_BLOCKER_WINDOW
     with pytest.raises(FrameError, match="too large for principal blockers"):
         blocker_masks(frame)
-    with pytest.raises(FrameError, match="too large for principal blockers"):
-        rsr(frame, [])
+    members = [frame.position([frame.atoms.names[0]], [])]
+    for op in (rsr, closure, is_role):
+        for arg in ([], members):
+            with pytest.raises(FrameError, match="too large for principal blockers"):
+                op(frame, arg)
     assert frame._window is None  # refused before the window was built
+
+
+@pytest.mark.parametrize("width", [0, 1, 64, 1024, 1025, 4096, 1 << 14])
+def test_iter_bits_narrow_and_wide(width):
+    rng = seeded(width)
+    for density in (0.01, 0.5, 0.99):
+        mask = sum(1 << i for i in range(width) if rng.random() < density)
+        mask |= (1 << width) >> 1  # the top bit, so the mask is as wide as asked
+        expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert list(_iter_bits(mask)) == expected
 
 
 # -- closure ---------------------------------------------------------------------

@@ -82,8 +82,12 @@ def test_and_clause_flags_non_idempotent_roles(counting_frame):
         PositionSet.from_positions(counting_frame, [counting_frame.position(("x",), ())]).mask
     )
     assert not q.is_idempotent_i(one_zero)
+    mask = q.lattice[one_zero].mask
     with pytest.raises(ClauseError):
-        interp._and_clause((one_zero, one_zero), (one_zero, one_zero))
+        interp._and_clause((mask, mask), (mask, mask))
+    idempotent = q.lattice[q.idempotent_indices()[0]].mask
+    with pytest.raises(ClauseError):  # only the right conclusory role fails
+        interp._and_clause((idempotent, idempotent), (mask, mask))
 
 
 def test_de_morgan_definitions_exact(golden_frame, counting_frame):
@@ -203,7 +207,8 @@ def test_and_clause_agreement_on_idempotents(golden_frame):
     q = quantale(golden_frame)
     for i in q.idempotent_indices():
         for j in q.idempotent_indices():
-            a, b = (i, i), (j, j)
+            x, y = q.lattice[i].mask, q.lattice[j].mask
+            a, b = (x, x), (y, y)
             assert connective_clause(q, "and", a, b) == symjunction_clause(q, "and", a, b)
 
 
@@ -219,7 +224,7 @@ def _schema_violations(frame, samples, seed, collision_free):
     violations = []
 
     def contents_distinct(*formulas):
-        seen = [interp._eval_indices(f, clauses) for f in formulas]
+        seen = [interp._eval_masks(f, clauses) for f in formulas]
         return len(set(seen)) == len(seen)
 
     for _ in range(samples):

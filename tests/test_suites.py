@@ -1,4 +1,5 @@
 from roleforge.formulas import Atom
+from roleforge.rsr import PositionSet
 from roleforge.semantics import Interpretation
 from roleforge.suites import (
     all_one_atom_set_frames, compare_suite, count_sequents, formula_pool,
@@ -43,9 +44,8 @@ def test_compare_suite_negative_control(golden_frame):
     """A deliberately corrupted content table must surface as disagreements."""
     frame = nonmonotonic_demo_frame()
     interp = Interpretation(frame)
-    q = interp.quantale
     # poison the atom content: both roles forced to the full window
-    full = q.lattice.full_index
+    full = PositionSet.full(frame).mask
     interp._eval_cache[(Atom("a"), "atom")] = (full, full)
     res = compare_suite(frame, depth=1, max_side=1, interp=interp)
     assert not res.ok
