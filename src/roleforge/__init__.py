@@ -14,7 +14,7 @@ from .formulas import (
 )
 from .frames import (
     AtomTable, Frame, FrameError, FrameSyntaxError, ModeMismatchError, Position,
-    PositionRangeError, Verdict, enumerate_positions, parse_frame, serialize_frame,
+    PositionRangeError, Verdict, parse_frame, serialize_frame,
 )
 from .morphisms import (
     FrameMorphism, check_conservative, check_continuous, continuity_condition3,
@@ -26,8 +26,7 @@ from .oracles import (
     mall_provable, rsr_naive,
 )
 from .quantale import (
-    IdempotenceError, IdempotentSubquantale, LawReport, QuantaleOps, check_gq_laws,
-    is_join_idempotent, quantale,
+    IdempotenceError, LawReport, QuantaleOps, check_gq_laws, is_join_idempotent, quantale,
 )
 from .rsr import (
     LatticeSizeError, PositionSet, Role, RoleLattice, closure, is_role,

@@ -211,11 +211,10 @@ def _cmd_lattice(args) -> tuple[int, Report]:
     labels = _Labels(frame, q, args.labels)
     aliases = [labels.alias(r) for r in lattice]
 
-    join_rows, tensor_rows = [], []
+    join, tensor = q.tables()
+    join_rows = [[aliases[k] for k in row] for row in join]
+    tensor_rows = [[aliases[k] for k in row] for row in tensor]
     n = len(lattice)
-    for i in range(n):
-        join_rows.append([aliases[q.join_i(i, j)] for j in range(n)])
-        tensor_rows.append([aliases[q.tensor_i(i, j)] for j in range(n)])
 
     roles_payload = [
         {
@@ -227,9 +226,9 @@ def _cmd_lattice(args) -> tuple[int, Report]:
     ]
     result = {
         "roles": roles_payload,
-        "unit": aliases[q.unit_index],
-        "dualizer": aliases[q.dualizer_index],
-        "bottom": aliases[q.bottom_index],
+        "unit": aliases[lattice.index_of(q.unit_mask)],
+        "dualizer": aliases[lattice.index_of(q.dualizer_mask)],
+        "bottom": aliases[lattice.bottom_index],
         "join_table": join_rows,
         "tensor_table": tensor_rows,
         "window_relative": q.window_relative,

@@ -570,8 +570,3 @@ def serialize_frame(frame: Frame) -> str:
         out.append(f"  {p.render(frame.atoms)}")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def enumerate_positions(frame: Frame) -> tuple[Position, ...]:
-    """The frame's window in canonical order (see Frame.window)."""
-    return frame.window()

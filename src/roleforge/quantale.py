@@ -11,11 +11,12 @@ multiset mode all of this is window-relative: position sums that leave the
 window are dropped from the pre-closure set (and counted, so reports can
 say whether truncation actually occurred).
 
-A role is its closed mask: ``tensor_mask``, ``join_mask`` and ``neg_mask``
-are memoized by mask and need no lattice.  The index API (``tensor_i`` and
-friends) numbers roles by their rank in the role lattice, which is
-enumerated on first access to ``lattice``; its tables are a memo over the
-mask operations, keyed by role indices.  Every cell is write-once.
+A role is its closed mask, and every operation takes and returns closed
+masks: ``tensor_mask``, ``join_mask`` and ``neg_mask`` are memoized by mask
+and need no lattice.  Numbering roles by their rank in the role lattice is
+left to the callers that print or report numbers: ``tables()`` and the law
+checker map masks to ranks with ``lattice.index_of``, and the lattice is
+enumerated on first access to ``lattice``.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .frames import Frame, FrameError
 from .rsr import (
-    Role, RoleLattice, blocker_masks, closure_mask, role_lattice, rsr_mask, tensor_sums,
+    RoleLattice, blocker_masks, closure_mask, role_lattice, rsr_mask, tensor_sums,
 )
-
-RoleRef = Union[Role, int]
 
 
 class IdempotenceError(FrameError):
@@ -39,26 +38,17 @@ class IdempotenceError(FrameError):
 
 
 class QuantaleOps:
-    """Memoized Girard-quantale structure of a frame's roles."""
+    """Memoized Girard-quantale structure of a frame's roles, on closed masks."""
 
-    def __init__(self, frame_or_lattice: Union[Frame, RoleLattice]):
-        if isinstance(frame_or_lattice, RoleLattice):
-            self._lattice: Optional[RoleLattice] = frame_or_lattice
-            self.frame = frame_or_lattice.frame
-        else:
-            self._lattice = None
-            self.frame = frame_or_lattice
+    def __init__(self, frame: Frame):
+        self.frame = frame
+        self._lattice: Optional[RoleLattice] = None
         self._tensor_masks: dict[tuple[int, int], int] = {}
         self._join_masks: dict[tuple[int, int], int] = {}
         self._neg_masks: dict[int, int] = {}
-        self._tensor: dict[tuple[int, int], int] = {}
-        self._join: dict[tuple[int, int], int] = {}
-        self._neg: dict[int, int] = {}
-        self._idempotents: Optional[tuple[int, ...]] = None
         self._bottom_absorbing: Optional[bool] = None
         self.dropped_sums = 0
 
-        frame = self.frame
         # rsr of the empty position's singleton is its principal blocker.
         self.dualizer_mask = blocker_masks(frame)[frame.empty_index()]
         self.unit_mask = rsr_mask(frame, self.dualizer_mask)
@@ -69,45 +59,9 @@ class QuantaleOps:
             self._lattice = role_lattice(self.frame)
         return self._lattice
 
-    # -- indices <-> roles ----------------------------------------------------
-
-    def _idx(self, r: RoleRef) -> int:
-        if isinstance(r, int):
-            return r
-        return self.lattice.index_of(r)
-
-    def role(self, i: int) -> Role:
-        return self.lattice[i]
-
-    @property
-    def unit_index(self) -> int:
-        return self.lattice.index_of(self.unit_mask)
-
-    @property
-    def dualizer_index(self) -> int:
-        return self.lattice.index_of(self.dualizer_mask)
-
-    @property
-    def bottom_index(self) -> int:
-        return self.lattice.bottom_index
-
-    @property
-    def unit(self) -> Role:
-        return self.lattice[self.unit_index]
-
-    @property
-    def dualizer(self) -> Role:
-        return self.lattice[self.dualizer_index]
-
-    @property
-    def bottom(self) -> Role:
-        return self.lattice[self.bottom_index]
-
     @property
     def window_relative(self) -> bool:
         return self.frame.mode == "multiset"
-
-    # -- operations on closed masks ---------------------------------------------
 
     def tensor_mask(self, a: int, b: int) -> int:
         key = (a, b) if a <= b else (b, a)
@@ -147,76 +101,6 @@ class QuantaleOps:
             raise IdempotenceError("right argument of tilde-join is not idempotent")
         return self.join_mask(self.join_mask(a, b), self.tensor_mask(a, b))
 
-    # -- the same operations on role indices -------------------------------------
-
-    def tensor_i(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        hit = self._tensor.get(key)
-        if hit is None:
-            lat = self.lattice
-            hit = self._tensor[key] = lat.index_of(self.tensor_mask(lat[a].mask, lat[b].mask))
-        return hit
-
-    def join_i(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        hit = self._join.get(key)
-        if hit is None:
-            lat = self.lattice
-            hit = self._join[key] = lat.index_of(self.join_mask(lat[a].mask, lat[b].mask))
-        return hit
-
-    def meet_i(self, a: int, b: int) -> int:
-        lat = self.lattice
-        return lat.index_of(lat[a].mask & lat[b].mask)
-
-    def neg_i(self, a: int) -> int:
-        hit = self._neg.get(a)
-        if hit is None:
-            lat = self.lattice
-            hit = self._neg[a] = lat.index_of(self.neg_mask(lat[a].mask))
-        return hit
-
-    def parr_i(self, a: int, b: int) -> int:
-        lat = self.lattice
-        return lat.index_of(self.parr_mask(lat[a].mask, lat[b].mask))
-
-    def leq_i(self, a: int, b: int) -> bool:
-        return self.leq_mask(self.lattice[a].mask, self.lattice[b].mask)
-
-    def tensor(self, a: RoleRef, b: RoleRef) -> Role:
-        return self.role(self.tensor_i(self._idx(a), self._idx(b)))
-
-    def join(self, a: RoleRef, b: RoleRef) -> Role:
-        return self.role(self.join_i(self._idx(a), self._idx(b)))
-
-    def meet(self, a: RoleRef, b: RoleRef) -> Role:
-        return self.role(self.meet_i(self._idx(a), self._idx(b)))
-
-    def neg(self, a: RoleRef) -> Role:
-        return self.role(self.neg_i(self._idx(a)))
-
-    def parr(self, a: RoleRef, b: RoleRef) -> Role:
-        return self.role(self.parr_i(self._idx(a), self._idx(b)))
-
-    # -- idempotents and the tilde join ----------------------------------------
-
-    def is_idempotent_i(self, a: int) -> bool:
-        return self.tensor_i(a, a) == a
-
-    def idempotent_indices(self) -> tuple[int, ...]:
-        if self._idempotents is None:
-            self._idempotents = tuple(
-                i for i in range(len(self.lattice)) if self.is_idempotent_i(i)
-            )
-        return self._idempotents
-
-    def tilde_join_i(self, a: int, b: int) -> int:
-        lat = self.lattice
-        return lat.index_of(self.tilde_join_mask(lat[a].mask, lat[b].mask))
-
-    def tilde_join(self, a: RoleRef, b: RoleRef) -> Role:
-        return self.role(self.tilde_join_i(self._idx(a), self._idx(b)))
-
     def bottom_is_absorbing(self) -> bool:
         """Whether the lattice minimum annihilates under tensor.
 
@@ -225,40 +109,23 @@ class QuantaleOps:
         assert this before relying on it.
         """
         if self._bottom_absorbing is None:
-            bot = self.bottom_index
-            self._bottom_absorbing = all(
-                self.tensor_i(bot, i) == bot for i in range(len(self.lattice))
-            )
+            lat = self.lattice
+            bot = lat[lat.bottom_index].mask
+            self._bottom_absorbing = all(self.tensor_mask(bot, r.mask) == bot for r in lat)
         return self._bottom_absorbing
 
     def tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """Fully materialized (join, tensor) tables as index matrices."""
-        n = len(self.lattice)
-        join = [[self.join_i(i, j) for j in range(n)] for i in range(n)]
-        tensor = [[self.tensor_i(i, j) for j in range(n)] for i in range(n)]
+        lat = self.lattice
+        masks = [r.mask for r in lat]
+        join = [[lat.index_of(self.join_mask(a, b)) for b in masks] for a in masks]
+        tensor = [[lat.index_of(self.tensor_mask(a, b)) for b in masks] for a in masks]
         return join, tensor
 
 
-class IdempotentSubquantale:
-    """The tensor-idempotent roles, with tilde-join as their join."""
-
-    def __init__(self, parent: QuantaleOps):
-        self.parent = parent
-        self.elements = parent.idempotent_indices()
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, r: RoleRef) -> bool:
-        return self.parent._idx(r) in self.elements
-
-    def tilde_join(self, a: RoleRef, b: RoleRef) -> Role:
-        return self.parent.tilde_join(a, b)
-
-
-def quantale(frame_or_lattice: Union[Frame, RoleLattice]) -> QuantaleOps:
+def quantale(frame: Frame) -> QuantaleOps:
     """The quantale of a frame; its lattice is enumerated on first use."""
-    return QuantaleOps(frame_or_lattice)
+    return QuantaleOps(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +180,21 @@ def check_gq_laws(
     """Verify the Girard-quantale laws on all roles, or on a seeded sample
     of triples when the lattice exceeds ``exhaustive_limit`` roles.
 
-    The laws are read off operation tables (``tensor[a][b]``).  The
-    exhaustive check fills the join, tensor, negation and meet tables once,
-    through the index API; the sampled check fills only the cells it reads,
-    since a full table would cost n^2 tensors."""
-    n = len(q.lattice)
+    The laws are read off operation tables indexed by role rank
+    (``tensor[a][b]``), filled from the mask operations.  The exhaustive
+    check fills the join, tensor, negation and meet tables once as plain
+    lists; the sampled check fills only the cells it reads, since a full
+    table would cost n^2 tensors."""
+    lat = q.lattice
+    masks = [r.mask for r in lat]
+    index_of = lat.index_of
+    n = len(masks)
     exhaustive = n <= exhaustive_limit
     if exhaustive:
         rows = range(n)
         join, tensor = q.tables()
-        neg = [q.neg_i(a) for a in rows]
-        meet = [[q.meet_i(a, b) for b in rows] for a in rows]
+        neg = [index_of(q.neg_mask(a)) for a in masks]
+        meet = [[index_of(q.meet_mask(a, b)) for b in masks] for a in masks]
 
         def triples():
             return itertools.product(rows, repeat=3)
@@ -333,8 +204,13 @@ def check_gq_laws(
 
         singles = [(a,) for a in rows]
     else:
-        join, tensor, meet = _lazy_table(q.join_i), _lazy_table(q.tensor_i), _lazy_table(q.meet_i)
-        neg = _Lazy(q.neg_i)
+        def on_ranks(op):
+            return lambda a, b: index_of(op(masks[a], masks[b]))
+
+        join = _lazy_table(on_ranks(q.join_mask))
+        tensor = _lazy_table(on_ranks(q.tensor_mask))
+        meet = _lazy_table(on_ranks(q.meet_mask))
+        neg = _Lazy(lambda a: index_of(q.neg_mask(masks[a])))
         rng = random.Random(seed)
         sampled = [
             (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)
@@ -358,7 +234,7 @@ def check_gq_laws(
                 return
         report.checks.append(LawCheck(law, True))
 
-    unit = q.unit_index
+    unit = index_of(q.unit_mask)
     first_failure(
         "tensor-associative", triples(),
         lambda a, b, c: tensor[tensor[a][b]][c] == tensor[a][tensor[b][c]],
@@ -407,16 +283,16 @@ def is_join_idempotent(q: QuantaleOps) -> bool:
     """Whether every role is a join of tensor-idempotent roles.
 
     Uses the closure trick: r is a join of idempotents iff it equals the
-    join of all idempotents below it, so no subset search is needed.
+    join of all idempotents below it, so no subset search is needed.  An
+    idempotent role is below itself, so only the others are checked.
     """
-    idem = q.idempotent_indices()
-    for r in range(len(q.lattice)):
+    masks = [r.mask for r in q.lattice]
+    idem = [m for m in masks if q.tensor_mask(m, m) == m]
+    for target in set(masks).difference(idem):
         below = 0
-        target = q.lattice[r].mask
         for e in idem:
-            if q.lattice[e].mask | target == target:
-                below |= q.lattice[e].mask
-        joined = q.lattice.index_of(rsr_mask(q.frame, rsr_mask(q.frame, below)))
-        if joined != r:
+            if e | target == target:
+                below |= e
+        if closure_mask(q.frame, below) != target:
             return False
     return True

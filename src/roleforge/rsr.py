@@ -8,9 +8,10 @@ the frame's Girard quantale.
 Position sets are bit-vectors: bit ``i`` stands for the window position with
 canonical index ``i``.  Principal blocker sets ``p^bot`` are precomputed once
 per frame and every rsr call is an intersection of them.  A role is a closed
-mask, so the quantale and the semantics work on masks and never need the
-whole lattice; ``role_lattice`` enumerates it only for callers that list or
-number the roles.  Since every role is an intersection of blockers, it
+mask: the quantale and the semantics take and return masks and never need
+the whole lattice.  ``role_lattice`` enumerates it only for callers that
+list roles or print their ranks, which ``RoleLattice.index_of`` reads off a
+mask.  Since every role is an intersection of blockers, the enumeration
 adds one distinct blocker at a time and meets it with the roles found so
 far: O(G*R) intersections for G distinct blockers and R roles.
 
@@ -359,9 +360,6 @@ class RoleLattice:
             return self._index[mask]
         except KeyError:
             raise FrameError("set is not a role of this lattice") from None
-
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self._index
 
 
 def role_lattice(frame: Frame, max_roles: int = DEFAULT_MAX_ROLES) -> RoleLattice:

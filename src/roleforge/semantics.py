@@ -74,9 +74,9 @@ class Interpretation:
     so evaluation and consequence never enumerate the role lattice.
     """
 
-    def __init__(self, frame: Frame, ops: Optional[QuantaleOps] = None):
+    def __init__(self, frame: Frame):
         self.frame = frame
-        self.quantale = ops if ops is not None else quantale(frame)
+        self.quantale = quantale(frame)
         self._eval_cache: dict[tuple[Formula, str], MaskContent] = {}
 
     # -- atoms ----------------------------------------------------------------

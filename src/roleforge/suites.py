@@ -376,12 +376,12 @@ def supralinear_suite(
 
 
 def reflexive_content_indices(q: QuantaleOps) -> list[tuple[int, int]]:
-    n = len(q.lattice)
+    masks = [r.mask for r in q.lattice]
     return [
         (i, j)
-        for i in range(n)
-        for j in range(n)
-        if q.leq_i(q.tensor_i(i, j), q.dualizer_index)
+        for i, a in enumerate(masks)
+        for j, b in enumerate(masks)
+        if q.leq_mask(q.tensor_mask(a, b), q.dualizer_mask)
     ]
 
 
@@ -390,10 +390,10 @@ def ic_content_indices(q: QuantaleOps) -> list[tuple[int, int]]:
     containment-satisfying contents); requires an absorbing bottom."""
     if not q.bottom_is_absorbing():
         raise ValueError("lattice bottom is not tensor-absorbing")
-    idem = q.idempotent_indices()
-    return [
-        (i, j) for i in idem for j in idem if q.tensor_i(i, j) == q.bottom_index
-    ]
+    masks = [r.mask for r in q.lattice]
+    bottom = masks[q.lattice.bottom_index]
+    idem = [(i, m) for i, m in enumerate(masks) if q.tensor_mask(m, m) == m]
+    return [(i, j) for i, a in idem for j, b in idem if q.tensor_mask(a, b) == bottom]
 
 
 def twisted_preservation_suite(
@@ -436,13 +436,12 @@ def mixed_preservation_suite(
         frame, q, ic = spaces[rng.randrange(len(spaces))]
         a = ic[rng.randrange(len(ic))]
         b = ic[rng.randrange(len(ic))]
-        plus = q.tensor_i(a[0], b[0])
-        minus = q.tilde_join_i(a[1], b[1])
+        plus, minus = connective_clause(q, "and", _mask_pair(q, a), _mask_pair(q, b))
         result.checked += 1
         good = (
-            q.is_idempotent_i(plus)
-            and q.is_idempotent_i(minus)
-            and q.tensor_i(plus, minus) == q.bottom_index
+            q.tensor_mask(plus, plus) == plus
+            and q.tensor_mask(minus, minus) == minus
+            and q.tensor_mask(plus, minus) == q.lattice[q.lattice.bottom_index].mask
         )
         if not good:
             result.violations.append({"frame": repr(frame), "a": a, "b": b})

@@ -52,6 +52,11 @@ def role_name(golden_roles, role) -> str:
     return {v: k for k, v in golden_roles.items()}[frozenset(role.positions())]
 
 
+def idempotent_masks(q) -> list[int]:
+    """The tensor-idempotent roles of a quantale, as masks in lattice order."""
+    return [r.mask for r in q.lattice if q.tensor_mask(r.mask, r.mask) == r.mask]
+
+
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
 

@@ -14,7 +14,7 @@ from roleforge.frames import Position
 from roleforge.morphisms import FrameMorphism, continuity_condition3
 from roleforge.oracles import continuity_condition4, rsr_naive
 from roleforge.quantale import check_gq_laws
-from roleforge.rsr import PositionSet, closure, rsr
+from roleforge.rsr import PositionSet, Role, closure, rsr
 from roleforge.semantics import Interpretation, interpretation
 from roleforge.suites import (
     all_one_atom_set_frames, cap_stability_suite, clause_agreement_suite,
@@ -106,12 +106,16 @@ def test_criterion_01_two_atom_golden_reproduction(golden_roles):
         ["R", "B", "B", "B", "R", "R"],
         ["T", "B", "L", "L", "R", "T"],
     ]
-    index_of = {name(r): lattice.index_of(r) for r in lattice}
+    mask_of = {name(r): r.mask for r in lattice}
+
+    def name_of_mask(mask):
+        return name(Role(frame, mask))
+
     for i, x in enumerate(order):
         for j, y in enumerate(order):
-            ok = ok and name(q.join(index_of[x], index_of[y])) == join_expected[i][j]
-            ok = ok and name(q.tensor(index_of[x], index_of[y])) == tensor_expected[i][j]
-    ok = ok and name(q.unit) == "U" and name(q.dualizer) == "D"
+            ok = ok and name_of_mask(q.join_mask(mask_of[x], mask_of[y])) == join_expected[i][j]
+            ok = ok and name_of_mask(q.tensor_mask(mask_of[x], mask_of[y])) == tensor_expected[i][j]
+    ok = ok and name_of_mask(q.unit_mask) == "U" and name_of_mask(q.dualizer_mask) == "D"
 
     ca, cb = interp.atom("a"), interp.atom("b")
     ok = ok and (name(ca.premisory), name(ca.conclusory)) == ("R", "D")

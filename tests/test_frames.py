@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from roleforge.frames import (
     AtomTable, Frame, FrameError, FrameSyntaxError, ModeMismatchError, Position,
-    PositionRangeError, enumerate_positions, parse_frame, serialize_frame,
+    PositionRangeError, parse_frame, serialize_frame,
 )
 
 from conftest import FRAMES_DIR, pos
@@ -175,10 +175,10 @@ def test_position_sum_associative_multiset(a, b, c, d, e, g):
 
 
 def test_window_sizes(golden_frame):
-    assert len(enumerate_positions(golden_frame)) == 16
-    assert len(enumerate_positions(Frame(("a",), "set"))) == 4
+    assert len(golden_frame.window()) == 16
+    assert len(Frame(("a",), "set").window()) == 4
     cap3 = Frame(("x",), "multiset", cap=3)
-    assert len(enumerate_positions(cap3)) == 16
+    assert len(cap3.window()) == 16
 
 
 def test_set_window_is_in_code_order(golden_frame):

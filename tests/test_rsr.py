@@ -82,7 +82,7 @@ def test_counting_tensor_of_translate_roles(counting_frame):
     q = quantale(f)
     r30 = closure(f, [Position((3,), (0,))])
     r01 = closure(f, [Position((0,), (1,))])
-    prod = q.tensor(r30, r01)
+    prod = Role(f, q.tensor_mask(r30.mask, r01.mask))
     assert {(p.left[0], p.right[0]) for p in prod.positions()} == {(2 + i, i) for i in range(7)}
     # independent route: naive closure of the pointwise sums
     sums = [a.add(b) for a in r30.positions() for b in r01.positions() if f.in_window(a.add(b))]

@@ -6,17 +6,17 @@ import pytest
 from roleforge.formulas import Bin, Neg, parse_formula
 from roleforge.frames import FrameError
 from roleforge.quantale import quantale
-from roleforge.rsr import PositionSet
+from roleforge.rsr import PositionSet, Role, is_role
 from roleforge.semantics import (
     ClauseError, Content, Interpretation, connective_clause, eval_formula,
     find_explicit_connective, interpret_atom, interpretation, symjunction_clause,
 )
 from roleforge.suites import (
-    LINEAR_BIN_OPS, clause_agreement_suite, conservativity_suite, formula_pool,
-    nontransitive_demo_frame, random_set_frame, robbins_suite,
+    LINEAR_BIN_OPS, all_one_atom_set_frames, clause_agreement_suite, conservativity_suite,
+    formula_pool, nontransitive_demo_frame, random_set_frame, robbins_suite,
 )
 
-from conftest import role_name, seeded
+from conftest import idempotent_masks, role_name, seeded
 
 
 # -- atom interpretation ---------------------------------------------------------
@@ -78,14 +78,13 @@ def test_eval_rejects_mixed_and_misclaused(golden_frame, counting_frame):
 def test_and_clause_flags_non_idempotent_roles(counting_frame):
     interp = Interpretation(counting_frame)
     q = interp.quantale
-    one_zero = q.lattice.index_of(
-        PositionSet.from_positions(counting_frame, [counting_frame.position(("x",), ())]).mask
-    )
-    assert not q.is_idempotent_i(one_zero)
-    mask = q.lattice[one_zero].mask
+    one_zero = PositionSet.from_positions(counting_frame, [counting_frame.position(("x",), ())])
+    assert is_role(counting_frame, one_zero)
+    mask = one_zero.mask
+    assert q.tensor_mask(mask, mask) != mask
     with pytest.raises(ClauseError):
         interp._and_clause((mask, mask), (mask, mask))
-    idempotent = q.lattice[q.idempotent_indices()[0]].mask
+    idempotent = idempotent_masks(q)[0]
     with pytest.raises(ClauseError):  # only the right conclusory role fails
         interp._and_clause((idempotent, idempotent), (mask, mask))
 
@@ -137,6 +136,15 @@ def test_entails_counting_verdicts(counting_frame):
 def test_entails_set_mode_collapses_duplicates(golden_frame):
     interp = interpretation(golden_frame)
     assert interp.entails(["a", "a"], ["b", "b"]) == interp.entails(["a"], ["b"])
+    # explicit a |- and |- a: the role {a |-, |- a} is not tensor-idempotent,
+    # so reading [c, c] as a multiset would tensor it with itself
+    frame = all_one_atom_set_frames()[6]
+    r = Role.from_positions(frame, [frame.position(["a"], []), frame.position([], ["a"])])
+    interp = interpretation(frame)
+    assert is_role(frame, r)
+    assert interp.quantale.tensor_mask(r.mask, r.mask) != r.mask
+    c = Content(r, r)
+    assert interp.entails([c, c], []) == interp.entails([c], []) is True
 
 
 def test_entails_multiset_mode_counts_multiplicity(counting_frame):
@@ -171,7 +179,7 @@ def test_cut_condition(golden_frame):
     interp = interpretation(golden_frame)
     q = interp.quantale
     for r in q.lattice:
-        assert interp.satisfies_cut_condition(Content(q.neg(r), r))
+        assert interp.satisfies_cut_condition(Content(Role(golden_frame, q.neg_mask(r.mask)), r))
     assert not interp.satisfies_cut_condition(interp.atom("a"))
 
 
@@ -182,7 +190,7 @@ def test_reflexive_plus_cut_pins_the_pair(golden_frame):
         for m in q.lattice:
             c = Content(p, m)
             both = interp.is_reflexive_content(c) and interp.satisfies_cut_condition(c)
-            assert both == (p == q.neg(m))
+            assert both == (p.mask == q.neg_mask(m.mask))
 
 
 # -- clause families ---------------------------------------------------------------------
@@ -205,9 +213,8 @@ def test_clause_agreement_window_relative(counting_frame):
 
 def test_and_clause_agreement_on_idempotents(golden_frame):
     q = quantale(golden_frame)
-    for i in q.idempotent_indices():
-        for j in q.idempotent_indices():
-            x, y = q.lattice[i].mask, q.lattice[j].mask
+    for x in idempotent_masks(q):
+        for y in idempotent_masks(q):
             a, b = (x, x), (y, y)
             assert connective_clause(q, "and", a, b) == symjunction_clause(q, "and", a, b)
 
