@@ -1,8 +1,7 @@
-"""Sequent goodness by bidirectional rule unfolding.
+"""Sequent goodness in NMMS, the invertible sequent rules over a frame.
 
-A sequent over logically complex formulas is reduced, rule by invertible
-rule, to a conjunction of atomic sequents, each of which is settled by
-membership in the frame's incoherence relation:
+A sequent is good exactly when every atomic leaf of its rule unfolding is
+in the frame's incoherence relation:
 
 * negation moves a formula to the other side;
 * a conjunction on the left (or disjunction on the right) merges in place;
@@ -10,25 +9,29 @@ membership in the frame's incoherence relation:
   in the contractive variant, a third premise carrying both conjuncts
   side by side; disjunction on the left is dual.
 
-The contractive variant lives on set-mode frames (sides collapse to sets
-before every step); the non-contractive variant on multiset frames.
-Implication is not a rule: it is unfolded as ~A \\/ B on entry.  The
-reduction target is always the leftmost outermost complex formula, left side
-first; the verdict is policy-independent (a tested property, not an input).
+The contractive variant lives on set-mode frames, the non-contractive one on
+multiset frames.  Implication is unfolded as ~A \\/ B on entry.  ``decide``
+does not walk the unfolding: a leaf is a pointwise sum of one leaf per formula
+(``max`` per count when contractive, ``+`` otherwise), so it sums the leaf
+families of all formulas.  It checks in-range leaves first: a multiset sequent
+with a failing leaf is false even if another leaf exceeds 2*cap.
+``reduction_trace`` builds the unfolding and raises on any overflowing leaf.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .formulas import Atom, Bin, Formula, Neg, parse_sequent, render_sequent
-from .frames import Frame, FrameError, ModeMismatchError
+from .formulas import Atom, Bin, Formula, Neg, atoms_of, parse_sequent, render_sequent
+from .frames import Frame, FrameError, ModeMismatchError, Position
 
 NMMS_OPS = frozenset({"and", "or"})
 VARIANTS = ("contractive", "noncontractive")
 
 Side = tuple[Formula, ...]
+Leaf = tuple[int, ...]  # left counts, then right counts
 
 
 class NmmsFragmentError(FrameError):
@@ -68,15 +71,19 @@ def _desugar(f: Formula) -> Formula:
     return Bin(f.op, _desugar(f.left), _desugar(f.right))
 
 
-def _check_variant(frame: Frame, variant: str):
-    if variant == "contractive" and frame.mode != "set":
+def _prepared(frame: Frame, sequent: FormulaSequent) -> tuple[bool, Side, Side]:
+    """Mode check, then desugaring, then the atom check."""
+    contractive = sequent.variant == "contractive"
+    if contractive and frame.mode != "set":
         raise ModeMismatchError("contractive unfolding requires a set-mode frame")
-    if variant == "noncontractive" and frame.mode != "multiset":
+    if not contractive and frame.mode != "multiset":
         raise ModeMismatchError("non-contractive unfolding requires a multiset frame")
-
-
-def _dedupe(side: Side) -> Side:
-    return tuple(dict.fromkeys(side))
+    lhs = tuple(_desugar(f) for f in sequent.lhs)
+    rhs = tuple(_desugar(f) for f in sequent.rhs)
+    unknown = [a for f in lhs + rhs for a in sorted(atoms_of(f)) if a not in frame.atoms]
+    if unknown:
+        raise FrameError(f"unknown atom {unknown[0]!r}")
+    return contractive, lhs, rhs
 
 
 def _atomic_verdict(frame: Frame, lhs: Side, rhs: Side) -> bool:
@@ -130,49 +137,44 @@ def _targets(lhs: Side, rhs: Side) -> list[tuple[str, int]]:
     return out
 
 
-Chooser = Callable[[list[tuple[str, int]]], tuple[str, int]]
+def _leaf_sum(xs: set[Leaf], ys: set[Leaf], contractive: bool) -> set[Leaf]:
+    """Every pointwise sum of a leaf of xs and a leaf of ys."""
+    plus = max if contractive else operator.add
+    return {tuple(map(plus, x, y)) for x in xs for y in ys}
 
 
-def _decide(
-    frame: Frame,
-    sequent: FormulaSequent,
-    chooser: Optional[Chooser] = None,
-) -> bool:
-    _check_variant(frame, sequent.variant)
-    contractive = sequent.variant == "contractive"
-    lhs = tuple(_desugar(f) for f in sequent.lhs)
-    rhs = tuple(_desugar(f) for f in sequent.rhs)
-    memo: dict[tuple, bool] = {}
-
-    def key(l: Side, r: Side):
-        if contractive:
-            return (frozenset(l), frozenset(r))
-        return (tuple(sorted(map(repr, l))), tuple(sorted(map(repr, r))))
-
-    def go(l: Side, r: Side) -> bool:
-        if contractive:
-            l, r = _dedupe(l), _dedupe(r)
-        k = key(l, r)
-        hit = memo.get(k)
-        if hit is not None:
-            return hit
-        targets = _targets(l, r)
-        if not targets:
-            verdict = _atomic_verdict(frame, l, r)
-        else:
-            side, i = chooser(targets) if chooser else targets[0]
-            _, premises = _reduce(l, r, side, i, contractive)
-            verdict = all(go(pl, pr) for pl, pr in premises)
-        memo[k] = verdict
-        return verdict
-
-    return go(lhs, rhs)
+def _leaf_family(f: Formula, left: bool, index: dict[str, int], contractive: bool) -> set[Leaf]:
+    """The atomic leaves of f's unfolding alone on one side.  Contractive
+    families are union-closed, so repeated formulas need no deduplication."""
+    if isinstance(f, Atom):
+        leaf = [0] * (2 * len(index))
+        leaf[index[f.name] + (0 if left else len(index))] = 1
+        return {tuple(leaf)}
+    if isinstance(f, Neg):
+        return _leaf_family(f.sub, not left, index, contractive)
+    xs = _leaf_family(f.left, left, index, contractive)
+    ys = _leaf_family(f.right, left, index, contractive)
+    if (f.op == "and") == left:  # andL, orR: one premise holding both
+        return _leaf_sum(xs, ys, contractive)
+    if contractive:  # orLc, andRc: the third premise holds both
+        return xs | ys | _leaf_sum(xs, ys, True)
+    return xs | ys  # orL, andR
 
 
 def decide(frame: Frame, sequent: FormulaSequent) -> bool:
-    """Goodness of the sequent: the conjunction of the incoherence verdicts
-    of all atomic leaves of its rule unfolding."""
-    return _decide(frame, sequent)
+    """Goodness of the sequent: every atomic leaf of its unfolding is incoherent."""
+    contractive, lhs, rhs = _prepared(frame, sequent)
+    index, n = frame.atoms.index, frame.n
+    leaves = {(0,) * (2 * n)}
+    for side, formulas in ((True, lhs), (False, rhs)):
+        for f in formulas:
+            leaves = _leaf_sum(leaves, _leaf_family(f, side, index, contractive), contractive)
+    bound = 1 if contractive else 2 * frame.cap
+    # In-range leaves first: bot_member raises on the first overflowing one.
+    for leaf in sorted(leaves, key=lambda leaf: max(leaf) > bound):
+        if not frame.bot_member(Position(leaf[:n], leaf[n:])):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,11 @@ class TraceNode:
 
 def reduction_trace(frame: Frame, sequent: FormulaSequent) -> TraceNode:
     """Full unfolding tree; decide() equals the AND over its leaves."""
-    _check_variant(frame, sequent.variant)
-    contractive = sequent.variant == "contractive"
+    contractive, lhs, rhs = _prepared(frame, sequent)
 
     def go(l: Side, r: Side) -> TraceNode:
         if contractive:
-            l, r = _dedupe(l), _dedupe(r)
+            l, r = tuple(dict.fromkeys(l)), tuple(dict.fromkeys(r))
         targets = _targets(l, r)
         if not targets:
             return TraceNode(l, r, None, _atomic_verdict(frame, l, r), ())
@@ -222,6 +223,4 @@ def reduction_trace(frame: Frame, sequent: FormulaSequent) -> TraceNode:
         children = tuple(go(pl, pr) for pl, pr in premises)
         return TraceNode(l, r, rule, all(c.verdict for c in children), children)
 
-    lhs = tuple(_desugar(f) for f in sequent.lhs)
-    rhs = tuple(_desugar(f) for f in sequent.rhs)
     return go(lhs, rhs)

@@ -194,6 +194,13 @@ def test_entails_formula_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["entails", "nmms", "trace"])
+def test_unknown_atom_in_sequent_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, GOLDEN, "c |- a")
+    assert (code, out) == (2, "")
+    assert err == "roleforge: error: unknown atom 'c'\n"
+
+
 def test_window_limits_are_usage_errors(capsys, tmp_path):
     eleven = tmp_path / "eleven.frame"
     eleven.write_text("atoms = a b c d e f g h i j k\nmode = set\nincoherent { }\n")

@@ -1,12 +1,13 @@
 import pytest
 
-from roleforge.frames import Frame, ModeMismatchError, PositionRangeError
+from roleforge.frames import Frame, FrameError, ModeMismatchError, PositionRangeError
 from roleforge.nmms import (
-    FormulaSequent, NmmsFragmentError, _decide, decide, reduction_trace,
+    FormulaSequent, NmmsFragmentError, _atomic_verdict, _desugar, _reduce, _targets,
+    decide, reduction_trace,
 )
 from roleforge.suites import formula_pool, random_set_frame
 
-from conftest import seeded
+from conftest import kernel_frames, seeded
 
 
 def seq(text, variant="contractive"):
@@ -66,6 +67,20 @@ def test_noncontractive_range_error(counting_frame):
         decide(counting_frame, seq(f"{many} |- x", "noncontractive"))
 
 
+def test_overflowing_leaf_does_not_hide_a_failing_one(counting_frame):
+    """x |- fails, so a disjunction with x on the left is false whatever the
+    other disjunct's leaf (seventeen x, above 2*cap = 16) would hold."""
+    many = " /\\ ".join(["x"] * 17)
+    assert not decide(counting_frame, seq(f"({many}) \\/ x |-", "noncontractive"))
+    assert not decide(counting_frame, seq(f"x \\/ ({many}) |-", "noncontractive"))
+
+
+def test_unknown_atom_is_frame_error(golden_frame):
+    for check in (decide, reduction_trace):
+        with pytest.raises(FrameError, match="^unknown atom 'c'$"):
+            check(golden_frame, seq("c |- a"))
+
+
 # -- traces ---------------------------------------------------------------------
 
 
@@ -118,8 +133,23 @@ def test_trace_as_dict_and_render(golden_frame):
 # -- policy independence -----------------------------------------------------------
 
 
-def _random_chooser(rng):
-    return lambda targets: targets[rng.randrange(len(targets))]
+def _unfold_randomly(frame, lhs, rhs, contractive, rng) -> bool:
+    """Reference: the rule unfolding that reduces a random complex formula at
+    every step, with no memo."""
+    if contractive:
+        lhs, rhs = tuple(dict.fromkeys(lhs)), tuple(dict.fromkeys(rhs))
+    targets = _targets(lhs, rhs)
+    if not targets:
+        return _atomic_verdict(frame, lhs, rhs)
+    side, k = targets[rng.randrange(len(targets))]
+    _, premises = _reduce(lhs, rhs, side, k, contractive)
+    return all(_unfold_randomly(frame, l, r, contractive, rng) for l, r in premises)
+
+
+def _random_policy_verdict(frame, s, rng):
+    lhs = tuple(_desugar(f) for f in s.lhs)
+    rhs = tuple(_desugar(f) for f in s.rhs)
+    return _unfold_randomly(frame, lhs, rhs, s.variant == "contractive", rng)
 
 
 def test_verdict_independent_of_reduction_policy_contractive():
@@ -133,7 +163,7 @@ def test_verdict_independent_of_reduction_policy_contractive():
         s = FormulaSequent(lhs, rhs, "contractive")
         base = decide(frame, s)
         for _ in range(3):
-            assert _decide(frame, s, _random_chooser(rng)) == base
+            assert _random_policy_verdict(frame, s, rng) == base
         checked += 1
 
 
@@ -155,5 +185,35 @@ def test_verdict_independent_of_reduction_policy_noncontractive():
         except PositionRangeError:
             continue
         for _ in range(3):
-            assert _decide(frame, s, _random_chooser(rng)) == base
+            try:
+                verdict = _random_policy_verdict(frame, s, rng)
+            except PositionRangeError:  # reached an overflowing leaf before a failing one
+                verdict = False
+            assert verdict == base
         checked += 1
+
+
+def test_decide_matches_trace_on_kernel_frames():
+    """Where the trace answers, decide agrees; where the trace meets a leaf
+    above 2*cap, decide raises too or finds a failing in-range leaf."""
+    rng = seeded(606)
+    pools = {}
+    for frame in kernel_frames():
+        names = frame.atoms.names
+        if names not in pools:
+            pools[names] = formula_pool(names, 2)
+        pool = pools[names]
+        variant = "contractive" if frame.mode == "set" else "noncontractive"
+        for _ in range(80):
+            lhs = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
+            rhs = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
+            s = FormulaSequent(lhs, rhs, variant)
+            try:
+                expected = reduction_trace(frame, s).verdict
+            except PositionRangeError:
+                expected = None
+            try:
+                got = decide(frame, s)
+            except PositionRangeError:
+                got = None
+            assert got == expected or (expected is None and got is False), s.render()
