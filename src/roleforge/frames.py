@@ -20,6 +20,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 ATOM_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
@@ -189,7 +190,7 @@ class Frame:
 
     __slots__ = (
         "atoms", "mode", "cap", "explicit", "generators",
-        "_window", "_windex", "_bot_mask", "_rsr_cache", "__weakref__",
+        "_window", "_windex", "_bot_bits", "_rsr_cache", "__weakref__",
     )
 
     def __init__(
@@ -237,7 +238,7 @@ class Frame:
 
         self._window: Optional[tuple[Position, ...]] = None
         self._windex: Optional[dict[Position, int]] = None
-        self._bot_mask: Optional[int] = None
+        self._bot_bits: Optional[int] = None
         self._rsr_cache = None
 
     # -- value semantics ----------------------------------------------------
@@ -295,6 +296,11 @@ class Frame:
     def bot_member(self, p: Position) -> bool:
         """Decide ``p`` against the incoherence relation.
 
+        This is the relation's specification: the frame's membership rules
+        written out one position at a time.  ``bot_bits`` compiles the same
+        relation into an int for the blocker kernel; NMMS leaves, morphisms,
+        suites and oracles decide positions here.
+
         Works for any encodable position (counts up to ``2*cap`` in multiset
         mode), not just window positions, so sums of window positions are
         always decidable.
@@ -310,6 +316,51 @@ class Frame:
         if "reflexivity" in self.generators and p.degree == 2 and p.left == p.right:
             return True
         return False
+
+    def code_radix(self) -> int:
+        """Radix of position codes: 2 in set mode, ``2*cap + 1`` in multiset mode."""
+        return 2 if self.mode == "set" else 2 * self.cap + 1
+
+    def position_codes(self, positions: Iterable[Position]) -> list[int]:
+        """``code(p) = sum_k q_k * r**k`` over the left counts, then the right
+        counts, with ``r = code_radix()``.  Every encodable position has a
+        code below ``r**(2n)``; in set mode it is the window index."""
+        r = self.code_radix()
+        weights = [r ** k for k in range(2 * self.n)]
+        return [sum(q * w for q, w in zip(p.left + p.right, weights)) for p in positions]
+
+    def bot_bits(self) -> int:
+        """The relation compiled once into one int: bit ``code(p)`` is set iff
+        ``bot_member(p)``, for every encodable position ``p``.
+
+        Each explicit position sets its own bit.  Reflexivity sets the codes
+        ``r**k + r**(n+k)``; the diagonal sets ``L * (r**n + 1)`` for every
+        left code ``L < r**n``; containment is ``OR_k (nz_k & nz_(n+k))``,
+        where ``nz_j`` marks the codes whose digit j is nonzero.
+        """
+        if self._bot_bits is None:
+            n, r = self.n, self.code_radix()
+            size, half = r ** (2 * n), r ** n
+            bits = 0
+            for code in self.position_codes(self.explicit):
+                bits |= 1 << code
+            if "reflexivity" in self.generators:
+                for k in range(n):
+                    bits |= 1 << (r ** k + r ** (n + k))
+            if "diagonal" in self.generators:
+                # Highest code first: a '1' every r**n + 1 codes from code 0.
+                bits |= int(("1" + "0" * half) * (half - 1) + "1", 2)
+            if "containment" in self.generators:
+                def nonzero(j: int) -> int:
+                    # Per period r**(j+1), highest code first: digit j is
+                    # nonzero on the top (r-1) * r**j codes, zero below.
+                    w = r ** j
+                    return int(("1" * ((r - 1) * w) + "0" * w) * (size // (r * w)), 2)
+
+                for k in range(n):
+                    bits |= nonzero(k) & nonzero(n + k)
+            self._bot_bits = bits
+        return self._bot_bits
 
     def position_sum(self, p: Position, q: Position) -> Position:
         """Componentwise sum (multiset mode) or union (set mode)."""
@@ -373,14 +424,17 @@ class Frame:
         return self.window_index(p) is not None
 
     def bot_window_mask(self) -> int:
-        """Bitmask (bit i = window position i) of the window part of the relation."""
-        if self._bot_mask is None:
-            mask = 0
-            for i, p in enumerate(self.window()):
-                if self.bot_member(p):
-                    mask |= 1 << i
-            self._bot_mask = mask
-        return self._bot_mask
+        """Bitmask (bit i = window position i) of the window part of the relation.
+
+        In set mode a window index is the position's code, so this is
+        ``bot_bits()`` itself; in multiset mode it reads ``bot_bits()`` at
+        the window codes.
+        """
+        if self.mode == "set":
+            return self.bot_bits()
+        codes = self.position_codes(self.window())
+        grid = f"{self.bot_bits():0{self.code_radix() ** (2 * self.n)}b}"[::-1]
+        return int("".join(itemgetter(*reversed(codes))(grid)), 2)
 
     def empty_index(self) -> int:
         idx = self.window_index(Position.zero(self.n))

@@ -15,7 +15,8 @@ does not walk the unfolding: a leaf is a pointwise sum of one leaf per formula
 (``max`` per count when contractive, ``+`` otherwise), so it sums the leaf
 families of all formulas.  It checks in-range leaves first: a multiset sequent
 with a failing leaf is false even if another leaf exceeds 2*cap.
-``reduction_trace`` builds the unfolding and raises on any overflowing leaf.
+``reduction_trace`` builds the unfolding and shows an overflowing leaf as
+out of range; it raises only when such a leaf leaves the verdict open.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formulas import Atom, Bin, Formula, Neg, atoms_of, parse_sequent, render_sequent
-from .frames import Frame, FrameError, ModeMismatchError, Position
+from .frames import Frame, FrameError, ModeMismatchError, Position, PositionRangeError
 
 NMMS_OPS = frozenset({"and", "or"})
 VARIANTS = ("contractive", "noncontractive")
@@ -179,10 +180,14 @@ def decide(frame: Frame, sequent: FormulaSequent) -> bool:
 
 @dataclass(frozen=True)
 class TraceNode:
+    """A node of the unfolding.  A leaf above 2*cap is out of range and its
+    verdict is None; an inner node is false if a premise is, else None if a
+    premise is, else true."""
+
     lhs: Side
     rhs: Side
     rule: Optional[str]
-    verdict: bool
+    verdict: Optional[bool]
     children: tuple["TraceNode", ...]
 
     def leaves(self) -> list["TraceNode"]:
@@ -202,25 +207,41 @@ class TraceNode:
         }
 
     def render(self, indent: int = 0) -> str:
-        mark = "ok" if self.verdict else "FAIL"
+        if self.verdict is None:
+            mark = "undetermined" if self.children else "out of range"
+        else:
+            mark = "ok" if self.verdict else "FAIL"
         rule = f" [{self.rule}]" if self.rule else ""
         line = "  " * indent + f"{render_sequent(self.lhs, self.rhs)}{rule}  ({mark})"
         return "\n".join([line] + [c.render(indent + 1) for c in self.children])
 
 
 def reduction_trace(frame: Frame, sequent: FormulaSequent) -> TraceNode:
-    """Full unfolding tree; decide() equals the AND over its leaves."""
+    """Full unfolding tree; its root verdict equals decide().  Raises the
+    first out-of-range leaf's PositionRangeError when no leaf fails and
+    the root is undetermined."""
     contractive, lhs, rhs = _prepared(frame, sequent)
+    overflow: list[PositionRangeError] = []
 
     def go(l: Side, r: Side) -> TraceNode:
         if contractive:
             l, r = tuple(dict.fromkeys(l)), tuple(dict.fromkeys(r))
         targets = _targets(l, r)
         if not targets:
-            return TraceNode(l, r, None, _atomic_verdict(frame, l, r), ())
+            try:
+                verdict = _atomic_verdict(frame, l, r)
+            except PositionRangeError as exc:
+                overflow.append(exc)
+                verdict = None
+            return TraceNode(l, r, None, verdict, ())
         side, i = targets[0]
         rule, premises = _reduce(l, r, side, i, contractive)
         children = tuple(go(pl, pr) for pl, pr in premises)
-        return TraceNode(l, r, rule, all(c.verdict for c in children), children)
+        verdicts = {c.verdict for c in children}
+        verdict = False if False in verdicts else None if None in verdicts else True
+        return TraceNode(l, r, rule, verdict, children)
 
-    return go(lhs, rhs)
+    root = go(lhs, rhs)
+    if root.verdict is None:
+        raise overflow[0]
+    return root

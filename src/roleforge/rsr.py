@@ -23,20 +23,21 @@ kernel per frame, built on first use:
   having bit k set and ``low = 1 << k`` the lowest bit of ``p``, the
   blockers follow from one pass over the codes in increasing order:
   ``c = blk[p ^ low] & M_k; blk[p] = c | (c >> low)``, starting from
-  ``blk[0]``, the window part of the relation.  Adding a position to every
-  member of a mask is one such step per bit of the position.
+  ``blk[0]``, the window part of the relation (``Frame.bot_bits()``).
+  Adding a position to every member of a mask is one such step per bit of
+  the position.
 * multiset mode -- a position's grid code is ``sum_k q_k * (2cap+1)^k`` over
-  its 2n counts.  Sums of window positions have counts up to ``2*cap``, so
-  codes add without carries and adding a position is a left shift.  The
-  relation is decided once per grid code, and ``p^bot`` is the grid read
-  from ``code(p)`` on and gathered at the window codes in canonical order.
-  Tensor sums shift the grid image of one role by each member of the other;
-  sums that leave the window are dropped and counted.
+  its 2n counts (``Frame.position_codes``).  Sums of window positions have
+  counts up to ``2*cap``, so codes add without carries and adding a
+  position is a left shift.  The relation over the whole grid is the
+  frame's compiled int ``Frame.bot_bits()``, and ``p^bot`` is that grid
+  read from ``code(p)`` on and gathered at the window codes in canonical
+  order.  Tensor sums shift the grid image of one role by each member of
+  the other; sums that leave the window are dropped and counted.
 """
 
 from __future__ import annotations
 
-import itertools
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -90,10 +91,8 @@ class _RsrCache:
         self.blockers = blockers
 
     def _init_multiset(self, frame: Frame):
-        n, radix = frame.n, 2 * frame.cap + 1
-        weights = [radix ** k for k in range(2 * n)]
-        codes = [sum(q * w for q, w in zip(p.left + p.right, weights)) for p in frame.window()]
-        grid_bits = radix ** (2 * n)
+        codes = frame.position_codes(frame.window())
+        grid_bits = frame.code_radix() ** (2 * frame.n)
         size = len(codes)
         # Grid strings hold one '0'/'1' per grid code, lowest code first.
         # _gather reads the window codes of such a string as a window mask;
@@ -105,13 +104,7 @@ class _RsrCache:
         self._codes = codes
         self._grid_bits = grid_bits
         self._outside = ((1 << grid_bits) - 1) ^ self._to_grid(self.full_mask)
-        # The relation at every grid code, lowest first: product() varies its
-        # last digit fastest, so its reversed tuples ascend in grid code.
-        bot = []
-        for digits in itertools.product(range(radix), repeat=2 * n):
-            q = digits[::-1]
-            bot.append("1" if frame.bot_member(Position(q[:n], q[n:])) else "0")
-        bot = "".join(bot)
+        bot = f"{frame.bot_bits():0{grid_bits}b}"[::-1]
         gather = self._gather
         self.blockers = [int("".join(gather(bot[c:])), 2) for c in codes]
 

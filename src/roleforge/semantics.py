@@ -71,13 +71,17 @@ class Interpretation:
     """Evaluation context for one frame: its quantale and content caches.
 
     Contents are evaluated as pairs of closed masks, memoized per formula,
-    so evaluation and consequence never enumerate the role lattice.
+    so evaluation and consequence never enumerate the role lattice.  The
+    quantale, and with it the frame's blocker kernel, is built on first use.
     """
 
     def __init__(self, frame: Frame):
         self.frame = frame
-        self.quantale = quantale(frame)
         self._eval_cache: dict[tuple[Formula, str], MaskContent] = {}
+
+    @functools.cached_property
+    def quantale(self) -> QuantaleOps:
+        return quantale(self.frame)
 
     # -- atoms ----------------------------------------------------------------
 
@@ -166,14 +170,6 @@ class Interpretation:
 
     # -- consequence -------------------------------------------------------------
 
-    def _as_content_masks(self, entry: EntryLike, clauses: str) -> MaskContent:
-        if isinstance(entry, Content):
-            return (self._role_mask(entry.premisory), self._role_mask(entry.conclusory))
-        if isinstance(entry, str):
-            entry = parse_formula(entry)
-        self._check_fragment(entry, clauses)
-        return self._eval_masks(entry, clauses)
-
     def entails(
         self,
         lhs: Sequence[EntryLike],
@@ -186,11 +182,19 @@ class Interpretation:
         contained in the dualizer.  The empty tensor is the quantale unit,
         so the empty sequent holds exactly when unit <= dualizer.  In set
         mode the sides are read as content *sets* (duplicates collapse); in
-        multiset mode multiplicity counts.
+        multiset mode multiplicity counts.  Every formula entry is checked
+        against the clause set before any entry is evaluated.
         """
-        left = [self._as_content_masks(e, clauses) for e in lhs]
-        right = [self._as_content_masks(e, clauses) for e in rhs]
-        return self._entails_masks(left, right)
+        entries = [parse_formula(e) if isinstance(e, str) else e for e in (*lhs, *rhs)]
+        for e in entries:
+            if not isinstance(e, Content):
+                self._check_fragment(e, clauses)
+        masks = [
+            (self._role_mask(e.premisory), self._role_mask(e.conclusory))
+            if isinstance(e, Content) else self._eval_masks(e, clauses)
+            for e in entries
+        ]
+        return self._entails_masks(masks[:len(lhs)], masks[len(lhs):])
 
     def _entails_masks(self, left: Sequence[MaskContent], right: Sequence[MaskContent]) -> bool:
         q = self.quantale

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -118,6 +119,44 @@ def test_nmms_and_trace(capsys):
     assert payload["result"]["rule"] == "andRc"
     code, out, _ = run(capsys, "trace", GOLDEN, "~(a /\\ b) |-")
     assert code == 1 and "negL" in out
+
+
+def test_trace_shows_out_of_range_leaf(capsys):
+    """A leaf above 2*cap is shown, not raised, when a failing leaf settles
+    the verdict; trace then answers as nmms does."""
+    many = " /\\ ".join(["x"] * 17)
+    argv = (COUNTING, f"{many} \\/ x |-", "--variant", "noncontractive")
+    assert run(capsys, "nmms", *argv)[0] == 1
+    code, out, _ = run(capsys, "trace", *argv)
+    assert code == 1 and "(out of range)" in out and "x |-  (FAIL)" in out
+    code, out, _ = run(capsys, "trace", *argv, "--format", "json")
+    children = json.loads(out)["result"]["children"]
+    assert code == 1 and [c["verdict"] for c in children] == [None, False]
+
+
+@pytest.mark.parametrize("sequent, clauses, cap, message", [
+    ("x |- x", "classical", 61, "classical clauses require a set-mode frame"),
+    ("x |- x /\\ x", "linear", 62, "not part of the linear clause set"),
+])
+def test_entails_clause_error_builds_no_kernel(capsys, tmp_path, monkeypatch,
+                                               sequent, clauses, cap, message):
+    """Each case has its own cap: interpretations are shared between equal frames."""
+    cli = importlib.import_module("roleforge.cli")
+    original, loaded = cli._load_frame, []
+
+    def load(path):
+        loaded.append(original(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_frame", load)
+    path = tmp_path / "wide.frame"
+    path.write_text(f"atoms = x\nmode = multiset\ncap = {cap}\n"
+                    "generators { diagonal }\nincoherent {\n  x, x |- x\n}\n")
+    code, out, err = run(capsys, "entails", str(path), sequent, "--clauses", clauses)
+    assert (code, out) == (2, "") and message in err
+    (frame,) = loaded
+    assert frame._rsr_cache is None
+    assert cli.interpretation(frame).frame._rsr_cache is None
 
 
 def test_check_commands(capsys):

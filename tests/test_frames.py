@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from roleforge.frames import (
-    AtomTable, Frame, FrameError, FrameSyntaxError, ModeMismatchError, Position,
-    PositionRangeError, parse_frame, serialize_frame,
+    GENERATOR_NAMES, AtomTable, Frame, FrameError, FrameSyntaxError, ModeMismatchError,
+    Position, PositionRangeError, parse_frame, serialize_frame,
 )
+from roleforge.suites import all_one_atom_set_frames
 
-from conftest import FRAMES_DIR, pos
+from conftest import FRAMES_DIR, pos, seeded
 
 
 # -- atoms and positions ------------------------------------------------------
@@ -290,3 +293,47 @@ def test_with_cap(counting_frame):
     assert wider.explicit == counting_frame.explicit
     with pytest.raises(ModeMismatchError):
         Frame(("a",), "set").with_cap(3)
+
+
+# -- the compiled relation against bot_member ------------------------------------
+
+
+def compiled_relation_frames():
+    """All one-atom set frames, seeded 2-3 atom set frames, and seeded 1-2 atom
+    multiset frames at caps 1-4 whose explicit counts reach 2*cap, each under
+    every generator subset."""
+    subsets = [g for r in range(4) for g in itertools.combinations(GENERATOR_NAMES, r)]
+    rng = seeded(707)
+    for gens in subsets:
+        for f in all_one_atom_set_frames():
+            yield Frame(f.atoms, "set", explicit=f.explicit, generators=gens)
+        for names in (("a", "b"), ("a", "b", "c")):
+            window = Frame(names, "set").window()
+            for density in (0.1, 0.5):
+                explicit = [p for p in window if rng.random() < density]
+                yield Frame(names, "set", explicit=explicit, generators=gens)
+        for names, cap in itertools.product((("x",), ("x", "y")), range(1, 5)):
+            n = len(names)
+            explicit = set()
+            for _ in range(3 * cap):
+                counts = [rng.randint(0, 2 * cap) for _ in range(2 * n)]
+                explicit.add(Position(tuple(counts[:n]), tuple(counts[n:])))
+            yield Frame(names, "multiset", cap=cap, explicit=explicit, generators=gens)
+
+
+def test_bot_bits_matches_bot_member_on_every_encodable_position():
+    for frame in compiled_relation_frames():
+        n, top = frame.n, 1 if frame.mode == "set" else 2 * frame.cap
+        bits = frame.bot_bits()
+        expected = 0
+        for code, counts in enumerate(itertools.product(range(top + 1), repeat=2 * n)):
+            # product() varies its last count fastest: reversed, the counts
+            # are the base-(top+1) digits of code, lowest first.
+            counts = counts[::-1]
+            if frame.bot_member(Position(counts[:n], counts[n:])):
+                expected |= 1 << code
+        assert bits == expected, frame
+        if frame.mode == "multiset":
+            window = frame.window()
+            scan = sum(1 << i for i, p in enumerate(window) if frame.bot_member(p))
+            assert frame.bot_window_mask() == scan, frame

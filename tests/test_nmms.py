@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from roleforge.frames import Frame, FrameError, ModeMismatchError, PositionRangeError
@@ -122,6 +124,23 @@ def test_trace_matches_decide_on_random_instances(golden_frame):
         assert tree.verdict == all(leaf.verdict for leaf in tree.leaves())
 
 
+def test_trace_shows_out_of_range_leaves(counting_frame):
+    """A leaf above 2*cap is an out-of-range node; a failing sibling settles
+    the verdict in either order, as decide does."""
+    many = " /\\ ".join(["x"] * 17)
+    for text in (f"({many}) \\/ x |-", f"x \\/ ({many}) |-"):
+        s = seq(text, "noncontractive")
+        tree = reduction_trace(counting_frame, s)
+        assert tree.verdict is False and decide(counting_frame, s) is False
+        assert [leaf.verdict for leaf in tree.leaves()] in ([None, False], [False, None])
+        assert sorted(map(str, (c.verdict for c in tree.children))) == ["False", "None"]
+        text = tree.render()
+        assert "(out of range)" in text and "(undetermined)" in text and "(FAIL)" in text
+        assert '"verdict": null' in json.dumps(tree.as_dict())
+    with pytest.raises(PositionRangeError, match="count above 2\\*cap=16"):
+        reduction_trace(counting_frame, seq(f"({many}) \\/ x |- x", "noncontractive"))
+
+
 def test_trace_as_dict_and_render(golden_frame):
     tree = reduction_trace(golden_frame, seq("a, b |- a /\\ b"))
     payload = tree.as_dict()
@@ -194,8 +213,8 @@ def test_verdict_independent_of_reduction_policy_noncontractive():
 
 
 def test_decide_matches_trace_on_kernel_frames():
-    """Where the trace answers, decide agrees; where the trace meets a leaf
-    above 2*cap, decide raises too or finds a failing in-range leaf."""
+    """decide and the trace agree exactly: the same verdict, or both raise
+    on a leaf above 2*cap that no failing leaf overrides."""
     rng = seeded(606)
     pools = {}
     for frame in kernel_frames():
@@ -216,4 +235,4 @@ def test_decide_matches_trace_on_kernel_frames():
                 got = decide(frame, s)
             except PositionRangeError:
                 got = None
-            assert got == expected or (expected is None and got is False), s.render()
+            assert got == expected, s.render()

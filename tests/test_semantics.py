@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from roleforge.formulas import Bin, Neg, parse_formula
-from roleforge.frames import FrameError
+from roleforge.formulas import Bin, Neg, parse_formula, parse_sequent
+from roleforge.frames import Frame, FrameError, Position
 from roleforge.quantale import quantale
 from roleforge.rsr import PositionSet, Role, is_role
 from roleforge.semantics import (
-    ClauseError, Content, Interpretation, connective_clause, eval_formula,
+    ClauseError, Content, Interpretation, connective_clause, entails, eval_formula,
     find_explicit_connective, interpret_atom, interpretation, symjunction_clause,
 )
 from roleforge.suites import (
@@ -73,6 +73,21 @@ def test_eval_rejects_mixed_and_misclaused(golden_frame, counting_frame):
         eval_formula(counting_frame, "x /\\ x", "classical")  # classical needs set mode
     with pytest.raises(ClauseError):
         eval_formula(golden_frame, "a", "fuzzy")
+
+
+@pytest.mark.parametrize("sequent, clauses, message", [
+    ("x |- x", "classical", "classical clauses require a set-mode frame"),
+    ("x |- x /\\ x", "linear", "not part of the linear clause set"),
+])
+def test_clause_errors_come_before_the_kernel(sequent, clauses, message):
+    """Every entry's fragment is checked before any entry is evaluated, and
+    the quantale is built on first use, so a clause error builds no blockers."""
+    frame = Frame(("x",), "multiset", cap=11, explicit=[Position((13,), (2,))],
+                  generators=("diagonal",))
+    with pytest.raises(ClauseError, match=message):
+        entails(frame, *parse_sequent(sequent), clauses)
+    assert frame._rsr_cache is None
+    assert interpretation(frame).frame._rsr_cache is None
 
 
 def test_and_clause_flags_non_idempotent_roles(counting_frame):
