@@ -7,6 +7,10 @@ queries with traces, property suites, engine comparison, and morphism checks.
 Exit codes: 0 success or true verdict; 1 false verdict on a query; 2 usage or
 parse errors; 3 property-suite failures.  Reports are deterministic for fixed
 inputs and seed.
+
+A new command goes in the ``COMMANDS`` table: its handler, help text and a
+function adding its arguments.  Each call parses with a parser holding only
+the subparser its first argument names.
 """
 
 from __future__ import annotations
@@ -488,90 +492,139 @@ def _cmd_morphism(args) -> tuple[int, Report]:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="roleforge",
-        description="Implication-space semantics engine over signed incompatibility frames.",
-    )
-    parser.add_argument("--version", action="version", version=f"roleforge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than ``minimum``."""
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=FORMATS, default="plain")
-        return p
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
 
-    p = add("validate", _cmd_validate, help="parse a frame file and report its shape")
+    return convert
+
+
+_CLAUSES = ("classical", "linear")
+_VARIANTS = ("contractive", "noncontractive")
+
+
+def _frame_args(p):
     p.add_argument("frame")
 
-    p = add("positions", _cmd_positions, help="list the window in canonical order")
-    p.add_argument("frame")
 
-    p = add("rsr", _cmd_rsr, help="range of subjunctive robustness of a position set")
+def _rsr_args(p):
     p.add_argument("frame")
     p.add_argument("positions", help="semicolon-separated positions, e.g. 'a |- b; |- a'")
     p.add_argument("--cap-stability", action="store_true")
 
-    p = add("lattice", _cmd_lattice, help="role lattice and operation tables")
+
+def _lattice_args(p):
     p.add_argument("frame")
     p.add_argument("--labels")
 
-    p = add("interp", _cmd_interp, help="interpret an atom as a content")
+
+def _interp_args(p):
     p.add_argument("frame")
     p.add_argument("atom")
     p.add_argument("--labels")
     p.add_argument("--cap-stability", action="store_true")
 
-    p = add("eval", _cmd_eval, help="evaluate a formula to a content")
+
+def _eval_args(p):
     p.add_argument("frame")
     p.add_argument("formula")
-    p.add_argument("--clauses", choices=("classical", "linear"), default="classical")
+    p.add_argument("--clauses", choices=_CLAUSES, default="classical")
     p.add_argument("--labels")
     p.add_argument("--cap-stability", action="store_true")
 
-    p = add("entails", _cmd_entails, help="semantic consequence of a sequent")
+
+def _entails_args(p):
     p.add_argument("frame")
     p.add_argument("sequent")
-    p.add_argument("--clauses", choices=("classical", "linear"), default="classical")
+    p.add_argument("--clauses", choices=_CLAUSES, default="classical")
 
-    p = add("nmms", _cmd_nmms, help="decide a sequent by rule unfolding")
+
+def _unfolding_args(p):
     p.add_argument("frame")
     p.add_argument("sequent")
-    p.add_argument("--variant", choices=("contractive", "noncontractive"), default="contractive")
+    p.add_argument("--variant", choices=_VARIANTS, default="contractive")
 
-    p = add("trace", _cmd_trace, help="full rule-unfolding tree of a sequent")
-    p.add_argument("frame")
-    p.add_argument("sequent")
-    p.add_argument("--variant", choices=("contractive", "noncontractive"), default="contractive")
 
-    p = add("check", _cmd_check, help="run a property suite")
+def _check_args(p):
     p.add_argument("frame")
     p.add_argument("property", choices=_CHECKS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--depth", type=_int_at_least(0), default=2)
+    p.add_argument("--samples", type=_int_at_least(1), default=2000)
 
-    p = add("compare", _cmd_compare, help="NMMS unfolding vs semantic consequence")
+
+def _compare_args(p):
     p.add_argument("frame")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_int_at_least(0), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_int_at_least(1), default=2000)
     p.add_argument("--variant", choices=("contractive",), default="contractive")
-    p.add_argument("--clauses", choices=("classical", "linear"), default="classical")
+    p.add_argument("--clauses", choices=_CLAUSES, default="classical")
 
-    p = add("morphism", _cmd_morphism, help="check an atom map between two frames")
+
+def _morphism_args(p):
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("mapping", help="comma-separated atom map, e.g. 'a->x,b->x'")
     p.add_argument("--kind", choices=("conservative", "continuous", "both"), default="both")
 
+
+# name -> (handler, help text, function adding the command's arguments);
+# every command also takes --format.  Help lists the commands in this order.
+COMMANDS = {
+    "validate": (_cmd_validate, "parse a frame file and report its shape", _frame_args),
+    "positions": (_cmd_positions, "list the window in canonical order", _frame_args),
+    "rsr": (_cmd_rsr, "range of subjunctive robustness of a position set", _rsr_args),
+    "lattice": (_cmd_lattice, "role lattice and operation tables", _lattice_args),
+    "interp": (_cmd_interp, "interpret an atom as a content", _interp_args),
+    "eval": (_cmd_eval, "evaluate a formula to a content", _eval_args),
+    "entails": (_cmd_entails, "semantic consequence of a sequent", _entails_args),
+    "nmms": (_cmd_nmms, "decide a sequent by rule unfolding", _unfolding_args),
+    "trace": (_cmd_trace, "full rule-unfolding tree of a sequent", _unfolding_args),
+    "check": (_cmd_check, "run a property suite", _check_args),
+    "compare": (_cmd_compare, "NMMS unfolding vs semantic consequence", _compare_args),
+    "morphism": (_cmd_morphism, "check an atom map between two frames", _morphism_args),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.
+
+    When the first token of ``argv`` names a command, only that command's
+    subparser is built.  Otherwise (help, version, no or an unknown command)
+    every command's is, so top-level help and errors list them all."""
+    parser = argparse.ArgumentParser(
+        prog="roleforge",
+        description="Implication-space semantics engine over signed incompatibility frames.",
+    )
+    parser.add_argument("--version", action="version", version=f"roleforge {__version__}")
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    # A narrowed parser still names every command in its usage line, which
+    # top-level errors such as "unrecognized arguments" print.  The metavar
+    # would also rename the command argument in "invalid choice" and
+    # "required" errors, which only the full parser can raise.
+    metavar = "{" + ",".join(COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (fn, help_text, add_arguments) in COMMANDS.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(fn=fn)
+            p.add_argument("--format", choices=FORMATS, default="plain")
+            add_arguments(p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         code, report = args.fn(args)
     except (FrameError, FormulaSyntaxError, OSError, json.JSONDecodeError) as exc:

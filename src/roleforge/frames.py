@@ -112,7 +112,7 @@ class Position:
     def __post_init__(self):
         if len(self.left) != len(self.right):
             raise FrameError("left/right count vectors differ in length")
-        if any(c < 0 for c in self.left + self.right):
+        if min(self.left + self.right, default=0) < 0:
             raise FrameError("negative multiplicity in position")
 
     @classmethod
@@ -135,7 +135,7 @@ class Position:
         return sum(self.left) + sum(self.right)
 
     def is_setlike(self) -> bool:
-        return all(c <= 1 for c in self.left + self.right)
+        return max(self.left + self.right, default=0) <= 1
 
     def has_overlap(self) -> bool:
         return any(l >= 1 and r >= 1 for l, r in zip(self.left, self.right))
@@ -149,8 +149,8 @@ class Position:
 
     def union(self, other: "Position") -> "Position":
         return Position(
-            tuple(max(a, b) for a, b in zip(self.left, other.left)),
-            tuple(max(a, b) for a, b in zip(self.right, other.right)),
+            tuple(map(max, self.left, other.left)),
+            tuple(map(max, self.right, other.right)),
         )
 
     def render(self, atoms: AtomTable) -> str:
@@ -275,7 +275,7 @@ class Frame:
                 raise PositionRangeError(f"multiplicity above 1 in set mode: {p.render(self.atoms)}")
         else:
             bound = 2 * self.cap
-            if any(c > bound for c in p.left + p.right):
+            if max(p.left + p.right, default=0) > bound:
                 raise PositionRangeError(
                     f"count above 2*cap={bound} in {p.render(self.atoms)}"
                 )

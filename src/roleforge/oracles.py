@@ -10,6 +10,7 @@ subsets.  All of it is deliberately naive and bounded.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Sequence, Union
 
 from .formulas import Atom, Bin, Formula, Neg
@@ -122,10 +123,10 @@ def mall_provable(sequent, bound: int = DEFAULT_MALL_BOUND) -> bool:
     if total > bound:
         raise MallBoundError(f"{total} connectives exceed the search bound {bound}")
 
-    memo: dict[tuple, bool] = {}
+    memo: dict[frozenset, bool] = {}
 
     def key(ms: list[Formula]):
-        return tuple(sorted(map(repr, ms)))
+        return frozenset(Counter(ms).items())
 
     def prove(ms: list[Formula]) -> bool:
         k = key(ms)

@@ -1,11 +1,15 @@
+import argparse
+import contextlib
 import importlib
+import io
 import json
+import re
 
 import pytest
 
-from roleforge.cli import main
+from roleforge.cli import COMMANDS, _build_parser, main
 
-from conftest import FRAMES_DIR
+from conftest import FRAMES_DIR, REPO
 
 GOLDEN = str(FRAMES_DIR / "nonmonotonic.frame")
 COUNTING = str(FRAMES_DIR / "nontransitive.frame")
@@ -252,3 +256,101 @@ def test_window_limits_are_usage_errors(capsys, tmp_path):
         code, out, err = run(capsys, "rsr", str(big), "a |-")
         assert (code, out) == (2, "")
         assert "too large for principal blockers" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", GOLDEN, "supralinear", "--samples", "-5"], "argument --samples: must be at least 1, got -5"),
+    (["check", GOLDEN, "supraclassical", "--samples", "0"], "argument --samples: must be at least 1, got 0"),
+    (["check", GOLDEN, "supralinear", "--depth", "-1"], "argument --depth: must be at least 0, got -1"),
+    (["compare", GOLDEN, "--depth", "-1"], "argument --depth: must be at least 0, got -1"),
+    (["compare", GOLDEN, "--samples", "0"], "argument --samples: must be at least 1, got 0"),
+])
+def test_vacuous_suite_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: roleforge {argv[0]} ")
+    assert captured.err.endswith(f"roleforge {argv[0]}: error: {message}\n")
+
+
+def _subparsers(parser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_named_command_builds_one_subparser(command):
+    assert list(_subparsers(_build_parser([command, GOLDEN]))) == [command]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["frobnicate"], ["-h", "entails"]])
+def test_unnamed_command_builds_every_subparser(argv):
+    assert list(_subparsers(_build_parser(argv))) == list(COMMANDS)
+
+
+# Arguments after the command name; every command also gets NARROWING_COMMON.
+NARROWING_COMMON = ([], ["--help"], ["--format", "xml"], ["--bogus"], [GOLDEN, "--format"])
+NARROWING_CASES = {
+    "validate": [[GOLDEN], [GOLDEN, "--format", "json"], [GOLDEN, "surplus"]],
+    "positions": [[GOLDEN, "--format", "csv"], [GOLDEN, "--labels", "l.json"]],
+    "rsr": [[GOLDEN, "a |-", "--cap-stability"], [GOLDEN]],
+    "lattice": [[GOLDEN, "--labels", "l.json", "--format", "dot"], [GOLDEN, "--labels"]],
+    "interp": [[GOLDEN, "a", "--labels", "l.json", "--cap-stability"], [GOLDEN, "a", "b"]],
+    "eval": [[GOLDEN, "a", "--clauses", "linear", "--labels", "l.json"],
+             [GOLDEN, "a", "--clauses", "modal"]],
+    "entails": [[GOLDEN, "a |- a", "--clauses", "linear"],
+                [GOLDEN, "a |- a", "--variant", "contractive"]],
+    "nmms": [[GOLDEN, "a |- a", "--variant", "noncontractive"], [GOLDEN, "a |- a", "--variant", "x"]],
+    "trace": [[GOLDEN, "a |- a", "--format", "json"], [GOLDEN, "--variant", "contractive"]],
+    "check": [[GOLDEN, "supralinear", "--seed", "3", "--depth", "0", "--samples", "1"],
+              [GOLDEN, "bogus"], [GOLDEN, "gq-laws", "--samples", "0"],
+              [GOLDEN, "gq-laws", "--depth", "-1"], [GOLDEN, "gq-laws", "--seed", "x"],
+              [GOLDEN, "gq-laws", "--samples", "many"]],
+    "compare": [[GOLDEN, "--depth", "0", "--clauses", "linear"], [GOLDEN, "--variant", "noncontractive"],
+                [GOLDEN, "--samples", "-5"], [GOLDEN, "--depth", "2", "--seed", "7"]],
+    "morphism": [[GOLDEN, GOLDEN, "a->a", "--kind", "continuous"], [GOLDEN, GOLDEN],
+                 [GOLDEN, GOLDEN, "a->a", "--kind", "neither"]],
+}
+
+
+def _parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_narrowed_parser_matches_full_parser(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _build_parser([])
+    for rest in NARROWING_COMMON + tuple(NARROWING_CASES[command]):
+        argv = [command, *rest]
+        assert _parse_outcome(_build_parser(argv), argv) == _parse_outcome(full, argv), argv
+
+
+def test_readme_synopsis_lists_each_commands_options():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented: dict[str, str] = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("roleforge "):
+            command = line.split()[1]
+            documented[command] = line
+        else:
+            documented[command] += line
+    assert list(documented) == list(COMMANDS)
+    for command, text in documented.items():
+        declared = {opt: a for a in _subparsers(_build_parser([command]))[command]._actions
+                    for opt in a.option_strings if opt not in ("-h", "--help")}
+        shown = dict(re.findall(r"\[(--[a-z-]+)(?: ([^\]]+))?\]", text))
+        assert set(shown) == set(declared), command
+        for opt, value in shown.items():
+            choices = declared[opt].choices
+            if choices and opt != "--format":
+                assert value == "|".join(choices), (command, opt)
