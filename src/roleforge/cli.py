@@ -11,6 +11,11 @@ inputs and seed.
 A new command goes in the ``COMMANDS`` table: its handler, help text and a
 function adding its arguments.  Each call parses with a parser holding only
 the subparser its first argument names.
+
+A handler takes ``(args, frame)`` and returns its exit code and ``Report``.
+``main`` loads the frame named by ``args.frame`` (``morphism`` loads its two
+frames itself and gets None), turns a usage error into exit 2, and fills the
+report's ``frame`` and ``meta`` (``cap``, ``seed``) before rendering it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .formulas import FormulaSyntaxError, parse_formula, parse_sequent, render
@@ -44,12 +49,15 @@ EXIT_SUITE = 3
 
 @dataclass
 class Report:
+    """A command's answer.  Handlers fill kind, result, lines, witnesses and
+    any meta of their own; ``main`` fills frame, ``meta.cap`` and ``meta.seed``."""
+
     kind: str
-    frame: str
     result: object
+    lines: list = field(default_factory=list)
     witnesses: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    lines: list = field(default_factory=list)
+    frame: str = ""
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -145,9 +153,11 @@ def _table_lines(fmt: str, title: str, headers: list[str], rows: list[list[str]]
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    report = Report("check", args.frame, result={}, meta={"cap": frame.cap})
+def _verdict(ok: bool, report: Report, fail: int = EXIT_FALSE) -> tuple[int, Report]:
+    return (EXIT_OK if ok else fail), report
+
+
+def _cmd_validate(args, frame: Frame) -> tuple[int, Report]:
     result = {
         "atoms": list(frame.atoms.names),
         "mode": frame.mode,
@@ -159,58 +169,50 @@ def _cmd_validate(args) -> tuple[int, Report]:
     }
     if frame.mode == "set" and frame.window_cardinality() <= 1 << 16:
         result["containment"] = frame.is_containment().ok
-    report.result = result
-    report.lines = [f"{k} = {v}" for k, v in result.items()]
-    return EXIT_OK, report
+    return EXIT_OK, Report("check", result, [f"{k} = {v}" for k, v in result.items()])
 
 
-def _cmd_positions(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
+def _cmd_positions(args, frame: Frame) -> tuple[int, Report]:
     rendered = [p.render(frame.atoms) for p in frame.window()]
-    report = Report("check", args.frame, result=rendered, meta={"cap": frame.cap})
-    report.lines = rendered
-    return EXIT_OK, report
+    return EXIT_OK, Report("check", rendered, rendered)
 
 
-def _stability_note(frame: Frame, positions, compute) -> dict:
-    """Recompute an extension at cap+2 and diff it on the current window."""
+def _stability_note(frame: Frame, small, big) -> dict:
+    """Diff an extension at the frame's cap with the same extension
+    recomputed at cap+2, on the frame's window."""
     from .suites import positions_within
 
-    wide = frame.with_cap(frame.cap + 2)
-    small = frozenset(positions)
-    big = positions_within(frame, compute(wide))
+    small = frozenset(small)
+    big = positions_within(frame, big)
     return {
         "stable": small == big,
-        "recheck_cap": wide.cap,
+        "recheck_cap": frame.cap + 2,
         "only_at_cap": sorted(p.render(frame.atoms) for p in small - big),
         "only_at_recheck": sorted(p.render(frame.atoms) for p in big - small),
     }
 
 
-def _cmd_rsr(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
+def _stability_text(stable: bool) -> str:
+    return "no changes" if stable else "CHANGED"
+
+
+def _cmd_rsr(args, frame: Frame) -> tuple[int, Report]:
     members = _parse_position_set(frame, args.positions)
     out = rsr(frame, members)
-    report = Report("check", args.frame, result=None, meta={"cap": frame.cap})
     rendered = sorted(p.render(frame.atoms) for p in out.positions())
-    result = {"input": args.positions, "rsr": rendered}
-    lines = [_positions_text(frame, out)]
+    report = Report("check", {"input": args.positions, "rsr": rendered},
+                    [_positions_text(frame, out)])
     if args.cap_stability and frame.mode == "multiset":
-        note = _stability_note(
-            frame, out.positions(), lambda wide: rsr(wide, members).positions()
-        )
-        result["stability"] = note
-        lines.append(f"stability at cap {note['recheck_cap']}: "
-                     + ("no changes" if note["stable"] else "CHANGED"))
-    report.result = result
-    report.lines = lines
+        wide = rsr(frame.with_cap(frame.cap + 2), members)
+        note = _stability_note(frame, out.positions(), wide.positions())
+        report.result["stability"] = note
+        report.lines.append(f"stability at cap {note['recheck_cap']}: "
+                            + _stability_text(note["stable"]))
     return EXIT_OK, report
 
 
-def _cmd_lattice(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    interp = interpretation(frame)
-    q = interp.quantale
+def _cmd_lattice(args, frame: Frame) -> tuple[int, Report]:
+    q = interpretation(frame).quantale
     lattice = q.lattice
     labels = _Labels(frame, q, args.labels)
     aliases = [labels.alias(r) for r in lattice]
@@ -237,22 +239,18 @@ def _cmd_lattice(args) -> tuple[int, Report]:
         "tensor_table": tensor_rows,
         "window_relative": q.window_relative,
     }
-    report = Report("lattice", args.frame, result=result, meta={"cap": frame.cap})
-
     if args.format == "dot":
-        report.lines = _hasse_dot(lattice, aliases)
-    else:
-        lines = [f"{n} roles (unit {result['unit']}, dualizer {result['dualizer']}, "
-                 f"bottom {result['bottom']})"]
-        for entry in roles_payload:
-            lines.append(f"{entry['alias']} ({entry['size']}): "
-                         + "{" + "; ".join(entry["positions"]) + "}")
-        lines.append("")
-        lines += _table_lines(args.format, "join", aliases, join_rows)
-        lines.append("")
-        lines += _table_lines(args.format, "tensor", aliases, tensor_rows)
-        report.lines = lines
-    return EXIT_OK, report
+        return EXIT_OK, Report("lattice", result, _hasse_dot(lattice, aliases))
+    lines = [f"{n} roles (unit {result['unit']}, dualizer {result['dualizer']}, "
+             f"bottom {result['bottom']})"]
+    for entry in roles_payload:
+        lines.append(f"{entry['alias']} ({entry['size']}): "
+                     + "{" + "; ".join(entry["positions"]) + "}")
+    lines.append("")
+    lines += _table_lines(args.format, "join", aliases, join_rows)
+    lines.append("")
+    lines += _table_lines(args.format, "tensor", aliases, tensor_rows)
+    return EXIT_OK, Report("lattice", result, lines)
 
 
 def _hasse_dot(lattice, aliases: list[str]) -> list[str]:
@@ -270,100 +268,63 @@ def _hasse_dot(lattice, aliases: list[str]) -> list[str]:
     return lines
 
 
-def _content_payload(frame: Frame, labels: _Labels, c: Content) -> dict:
-    return {
-        "premisory": {
-            "alias": labels.alias(c.premisory),
-            "positions": sorted(p.render(frame.atoms) for p in c.premisory.positions()),
-        },
-        "conclusory": {
-            "alias": labels.alias(c.conclusory),
-            "positions": sorted(p.render(frame.atoms) for p in c.conclusory.positions()),
-        },
-    }
+_SIDES = ("premisory", "conclusory")
 
 
-def _content_lines(frame: Frame, labels: _Labels, c: Content) -> list[str]:
-    return [
-        f"premisory  = {labels.alias(c.premisory)} {_positions_text(frame, c.premisory)}",
-        f"conclusory = {labels.alias(c.conclusory)} {_positions_text(frame, c.conclusory)}",
-    ]
-
-
-def _content_stability(frame: Frame, compute_pair) -> dict:
-    plus = _stability_note(frame, compute_pair(frame)[0], lambda w: compute_pair(w)[0])
-    minus = _stability_note(frame, compute_pair(frame)[1], lambda w: compute_pair(w)[1])
-    return {"premisory": plus, "conclusory": minus, "stable": plus["stable"] and minus["stable"]}
-
-
-def _cmd_interp(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    interp = interpretation(frame)
-    c = interp.atom(args.atom)
-    labels = _Labels(frame, interp.quantale, args.labels)
-    result = {"atom": args.atom, **_content_payload(frame, labels, c)}
-    report = Report("interp", args.frame, result=result, meta={"cap": frame.cap})
-    report.lines = _content_lines(frame, labels, c)
+def _content_report(args, frame: Frame, head: dict,
+                    content_of: Callable[[Frame], Content]) -> tuple[int, Report]:
+    """``interp`` and ``eval``: report the content ``content_of(frame)``
+    after the result fields in ``head``."""
+    c = content_of(frame)
+    labels = _Labels(frame, interpretation(frame).quantale, args.labels)
+    result, lines = dict(head), []
+    for side in _SIDES:
+        role = getattr(c, side)
+        alias = labels.alias(role)
+        result[side] = {
+            "alias": alias,
+            "positions": sorted(p.render(frame.atoms) for p in role.positions()),
+        }
+        lines.append(f"{side:<10} = {alias} {_positions_text(frame, role)}")
     if args.cap_stability and frame.mode == "multiset":
-        def pair(f):
-            cc = interpretation(f).atom(args.atom)
-            return cc.premisory.positions(), cc.conclusory.positions()
-
-        note = _content_stability(frame, pair)
+        wide = content_of(frame.with_cap(frame.cap + 2))
+        note = {side: _stability_note(frame, getattr(c, side).positions(),
+                                      getattr(wide, side).positions())
+                for side in _SIDES}
+        note["stable"] = all(note[side]["stable"] for side in _SIDES)
         result["stability"] = note
-        report.lines.append("stability: " + ("no changes" if note["stable"] else "CHANGED"))
-    return EXIT_OK, report
+        lines.append("stability: " + _stability_text(note["stable"]))
+    return EXIT_OK, Report("interp", result, lines)
 
 
-def _cmd_eval(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    interp = interpretation(frame)
+def _cmd_interp(args, frame: Frame) -> tuple[int, Report]:
+    return _content_report(args, frame, {"atom": args.atom},
+                           lambda f: interpretation(f).atom(args.atom))
+
+
+def _cmd_eval(args, frame: Frame) -> tuple[int, Report]:
     formula = parse_formula(args.formula)
-    c = interp.eval(formula, args.clauses)
-    labels = _Labels(frame, interp.quantale, args.labels)
-    result = {"formula": render(formula), "clauses": args.clauses,
-              **_content_payload(frame, labels, c)}
-    report = Report("interp", args.frame, result=result, meta={"cap": frame.cap})
-    report.lines = _content_lines(frame, labels, c)
-    if args.cap_stability and frame.mode == "multiset":
-        def pair(f):
-            cc = interpretation(f).eval(formula, args.clauses)
-            return cc.premisory.positions(), cc.conclusory.positions()
-
-        note = _content_stability(frame, pair)
-        result["stability"] = note
-        report.lines.append("stability: " + ("no changes" if note["stable"] else "CHANGED"))
-    return EXIT_OK, report
+    return _content_report(args, frame,
+                           {"formula": render(formula), "clauses": args.clauses},
+                           lambda f: interpretation(f).eval(formula, args.clauses))
 
 
-def _cmd_entails(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
+def _cmd_entails(args, frame: Frame) -> tuple[int, Report]:
     lhs, rhs = parse_sequent(args.sequent)
     verdict = interpretation(frame).entails(lhs, rhs, args.clauses)
     result = {"sequent": args.sequent, "clauses": args.clauses, "verdict": verdict}
-    report = Report("entails", args.frame, result=result, meta={"cap": frame.cap})
-    report.lines = ["true" if verdict else "false"]
-    return (EXIT_OK if verdict else EXIT_FALSE), report
+    return _verdict(verdict, Report("entails", result, ["true" if verdict else "false"]))
 
 
-def _cmd_nmms(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    sequent = FormulaSequent.parse(args.sequent, args.variant)
-    verdict = decide(frame, sequent)
+def _cmd_nmms(args, frame: Frame) -> tuple[int, Report]:
+    verdict = decide(frame, FormulaSequent.parse(args.sequent, args.variant))
     result = {"sequent": args.sequent, "variant": args.variant, "verdict": verdict}
-    report = Report("entails", args.frame, result=result, meta={"cap": frame.cap})
-    report.lines = ["true" if verdict else "false"]
-    return (EXIT_OK if verdict else EXIT_FALSE), report
+    return _verdict(verdict, Report("entails", result, ["true" if verdict else "false"]))
 
 
-def _cmd_trace(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    sequent = FormulaSequent.parse(args.sequent, args.variant)
-    tree = reduction_trace(frame, sequent)
-    result = tree.as_dict()
-    report = Report("trace", args.frame, result=result, meta={"cap": frame.cap})
-    report.lines = tree.render().splitlines()
-    return (EXIT_OK if tree.verdict else EXIT_FALSE), report
+def _cmd_trace(args, frame: Frame) -> tuple[int, Report]:
+    tree = reduction_trace(frame, FormulaSequent.parse(args.sequent, args.variant))
+    return _verdict(tree.verdict, Report("trace", tree.as_dict(), tree.render().splitlines()))
 
 
 _CHECKS = (
@@ -372,45 +333,41 @@ _CHECKS = (
 )
 
 
-def _cmd_check(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
-    meta = {"cap": frame.cap, "seed": args.seed}
-    report = Report("check", args.frame, result=None, meta=meta)
-
+def _cmd_check(args, frame: Frame) -> tuple[int, Report]:
     def from_suite(*suites):
-        ok = all(s.ok for s in suites)
-        report.result = {
+        result = {
             s.name: {"checked": s.checked, "violations": s.violations, **s.notes}
             for s in suites
         }
-        report.lines = [s.summary() for s in suites]
-        report.witnesses = [v for s in suites for v in s.violations]
-        return (EXIT_OK if ok else EXIT_SUITE), report
+        report = Report("check", result, [s.summary() for s in suites],
+                        [v for s in suites for v in s.violations])
+        return _verdict(all(s.ok for s in suites), report, EXIT_SUITE)
 
     if args.property == "gq-laws":
-        law_report = check_gq_laws(interpretation(frame).quantale, seed=args.seed)
-        report.result = {
+        q = interpretation(frame).quantale
+        law_report = check_gq_laws(q, seed=args.seed)
+        result = {
             "exhaustive": law_report.exhaustive,
             "laws": [
                 {"law": c.law, "ok": c.ok, "counterexample": c.counterexample}
                 for c in law_report.checks
             ],
-            "join_idempotent": is_join_idempotent(interpretation(frame).quantale),
+            "join_idempotent": is_join_idempotent(q),
         }
-        report.lines = law_report.summary().splitlines()
-        report.witnesses = [c.counterexample for c in law_report.violations()]
-        return (EXIT_OK if law_report.ok else EXIT_SUITE), report
+        report = Report("check", result, law_report.summary().splitlines(),
+                        [c.counterexample for c in law_report.violations()])
+        return _verdict(law_report.ok, report, EXIT_SUITE)
     if args.property == "reflexive":
         verdict = frame.is_reflexive()
-        report.result = {"reflexive": verdict.ok, "witness": verdict.witness}
-        report.lines = ["reflexive" if verdict.ok else f"not reflexive: atom {verdict.witness}"]
-        return (EXIT_OK if verdict.ok else EXIT_SUITE), report
+        report = Report("check", {"reflexive": verdict.ok, "witness": verdict.witness},
+                        ["reflexive" if verdict.ok else f"not reflexive: atom {verdict.witness}"])
+        return _verdict(verdict.ok, report, EXIT_SUITE)
     if args.property == "containment":
         verdict = frame.is_containment()
         witness = verdict.witness.render(frame.atoms) if verdict.witness else None
-        report.result = {"containment": verdict.ok, "witness": witness}
-        report.lines = ["containment" if verdict.ok else f"not containment: {witness}"]
-        return (EXIT_OK if verdict.ok else EXIT_SUITE), report
+        report = Report("check", {"containment": verdict.ok, "witness": witness},
+                        ["containment" if verdict.ok else f"not containment: {witness}"])
+        return _verdict(verdict.ok, report, EXIT_SUITE)
     if args.property == "conservativity":
         return from_suite(conservativity_suite(frame))
     if args.property == "supraclassical":
@@ -430,8 +387,7 @@ def _cmd_check(args) -> tuple[int, Report]:
     return from_suite(cap_stability_suite(frame))
 
 
-def _cmd_compare(args) -> tuple[int, Report]:
-    frame = _load_frame(args.frame)
+def _cmd_compare(args, frame: Frame) -> tuple[int, Report]:
     if args.clauses != "classical":
         raise FrameError(
             "compare supports the contractive/classical pairing only; the rule "
@@ -441,14 +397,12 @@ def _cmd_compare(args) -> tuple[int, Report]:
         frame, depth=args.depth, seed=args.seed, samples=args.samples
     )
     result = {"checked": suite.checked, "disagreements": suite.violations}
-    report = Report("compare", args.frame, result=result,
-                    meta={"cap": frame.cap, "seed": args.seed, "depth": args.depth})
-    report.lines = [suite.summary()]
-    report.witnesses = suite.violations
-    return (EXIT_OK if suite.ok else EXIT_SUITE), report
+    report = Report("compare", result, [suite.summary()], suite.violations,
+                    meta={"depth": args.depth})
+    return _verdict(suite.ok, report, EXIT_SUITE)
 
 
-def _cmd_morphism(args) -> tuple[int, Report]:
+def _cmd_morphism(args, _frame) -> tuple[int, Report]:
     source = _load_frame(args.source)
     target = _load_frame(args.target)
     mapping = {}
@@ -464,13 +418,11 @@ def _cmd_morphism(args) -> tuple[int, Report]:
 
     result = {}
     lines = []
-    ok = True
     if args.kind in ("conservative", "both"):
         verdict = check_conservative(m)
         witness = verdict.witness.render(source.atoms) if verdict.witness else None
         result["conservative"] = {"ok": verdict.ok, "witness": witness}
         lines.append("conservative" if verdict.ok else f"not conservative: {witness}")
-        ok = ok and verdict.ok
     if args.kind in ("continuous", "both"):
         verdict = check_continuous(m)
         witness = None
@@ -481,10 +433,7 @@ def _cmd_morphism(args) -> tuple[int, Report]:
             }
         result["continuous"] = {"ok": verdict.ok, "witness": witness}
         lines.append("continuous" if verdict.ok else f"not continuous: {witness}")
-        ok = ok and verdict.ok
-    report = Report("check", f"{args.source} -> {args.target}", result=result)
-    report.lines = lines
-    return (EXIT_OK if ok else EXIT_FALSE), report
+    return _verdict(all(v["ok"] for v in result.values()), Report("check", result, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +575,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
     try:
-        code, report = args.fn(args)
+        # morphism names two frame files and loads them itself.
+        frame = _load_frame(args.frame) if "frame" in args else None
+        code, report = args.fn(args, frame)
     except (FrameError, FormulaSyntaxError, OSError, json.JSONDecodeError) as exc:
         print(f"roleforge: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report.meta.setdefault("seed", getattr(args, "seed", None))
-    report.meta.setdefault("cap", None)
+    if frame is None:
+        report.frame, report.meta["cap"] = f"{args.source} -> {args.target}", None
+    else:
+        report.frame, report.meta["cap"] = args.frame, frame.cap
+    report.meta["seed"] = getattr(args, "seed", None)
     text = report.render(args.format)
     if text:
         print(text)

@@ -96,40 +96,28 @@ def _atomic_verdict(frame: Frame, lhs: Side, rhs: Side) -> bool:
 def _reduce(
     lhs: Side, rhs: Side, side: str, k: int, contractive: bool
 ) -> tuple[str, list[tuple[Side, Side]]]:
-    """Apply the rule matching the complex formula at (side, k)."""
-    if side == "lhs":
-        f = lhs[k]
-        rest = lhs[:k] + lhs[k + 1:]
-        if isinstance(f, Neg):
-            return "negL", [(rest, rhs + (f.sub,))]
-        assert isinstance(f, Bin)
-        if f.op == "and":
-            merged = lhs[:k] + (f.left, f.right) + lhs[k + 1:]
-            return "andL", [(merged, rhs)]
-        assert f.op == "or"
-        with_left = lhs[:k] + (f.left,) + lhs[k + 1:]
-        with_right = lhs[:k] + (f.right,) + lhs[k + 1:]
-        premises = [(with_left, rhs), (with_right, rhs)]
-        if contractive:
-            both = lhs[:k] + (f.left, f.right) + lhs[k + 1:]
-            premises.append((both, rhs))
-        return ("orLc" if contractive else "orL"), premises
-    f = rhs[k]
-    rest = rhs[:k] + rhs[k + 1:]
+    """Apply the rule matching the complex formula at (side, k).  Each rule
+    is written once, over the formula's own side ``here`` and the opposite
+    side ``there``; for a formula on the right the two trade places."""
+    left = side == "lhs"
+    here, there = (lhs, rhs) if left else (rhs, lhs)
+    f = here[k]
+    suffix = "L" if left else "R"
+
+    def premise(*parts: Formula, moved: Side = ()) -> tuple[Side, Side]:
+        mine, other = here[:k] + parts + here[k + 1:], there + moved
+        return (mine, other) if left else (other, mine)
+
     if isinstance(f, Neg):
-        return "negR", [(lhs + (f.sub,), rest)]
-    assert isinstance(f, Bin)
-    if f.op == "or":
-        merged = rhs[:k] + (f.left, f.right) + rhs[k + 1:]
-        return "orR", [(lhs, merged)]
-    assert f.op == "and"
-    with_left = rhs[:k] + (f.left,) + rhs[k + 1:]
-    with_right = rhs[:k] + (f.right,) + rhs[k + 1:]
-    premises = [(lhs, with_left), (lhs, with_right)]
-    if contractive:
-        both = rhs[:k] + (f.left, f.right) + rhs[k + 1:]
-        premises.append((lhs, both))
-    return ("andRc" if contractive else "andR"), premises
+        return "neg" + suffix, [premise(moved=(f.sub,))]
+    assert isinstance(f, Bin) and f.op in NMMS_OPS
+    if (f.op == "and") == left:  # andL, orR: one premise holding both
+        return f.op + suffix, [premise(f.left, f.right)]
+    premises = [premise(f.left), premise(f.right)]  # orL, andR
+    if not contractive:
+        return f.op + suffix, premises
+    # orLc, andRc: the third premise holds both
+    return f.op + suffix + "c", premises + [premise(f.left, f.right)]
 
 
 def _targets(lhs: Side, rhs: Side) -> list[tuple[str, int]]:

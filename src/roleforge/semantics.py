@@ -50,9 +50,6 @@ class Content:
     premisory: Role
     conclusory: Role
 
-    def swap(self) -> "Content":
-        return Content(self.conclusory, self.premisory)
-
 
 class ContentSequent(NamedTuple):
     """A two-sided sequent whose entries are contents or formulas."""
@@ -231,9 +228,13 @@ class Interpretation:
         return q.leq_mask(q.neg_mask(self._role_mask(c.conclusory)), self._role_mask(c.premisory))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1)
 def interpretation(frame: Frame) -> Interpretation:
-    """Shared per-frame evaluation context (frames are immutable values)."""
+    """Shared per-frame evaluation context (frames are immutable values).
+
+    Only the most recent frame's is kept: an interpretation holds its
+    frame's blocker kernel, which at 7 atoms takes tens of megabytes, so a
+    caller that moves between frames keeps its own ``Interpretation``."""
     return Interpretation(frame)
 
 

@@ -323,15 +323,11 @@ def robbins_suite(frame: Frame, *, depth: int = 2) -> SuiteResult:
     pool = formula_pool(frame.atoms.names, depth, CLASSICAL_BIN_OPS)
     contents = _distinct_contents(interp, pool)
     result = SuiteResult("robbins-identity", notes={"distinct_contents": len(contents)})
-
-    def or_clause(a, b):
-        plus, minus = connective_clause(q, "and", (a[1], a[0]), (b[1], b[0]))
-        return (minus, plus)
-
+    clause = interp._classical_bin
     for a in contents:
         for b in contents:
             not_b = (b[1], b[0])
-            w = connective_clause(q, "and", or_clause(a, b), or_clause(a, not_b))
+            w = clause("and", clause("or", a, b), clause("or", a, not_b))
             result.checked += 1
             if not (interp._entails_masks([w], [a]) and interp._entails_masks([a], [w])):
                 result.violations.append({"A": _index_pair(q, a), "B": _index_pair(q, b)})

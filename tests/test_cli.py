@@ -163,6 +163,50 @@ def test_entails_clause_error_builds_no_kernel(capsys, tmp_path, monkeypatch,
     assert cli.interpretation(frame).frame._rsr_cache is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["rsr", COUNTING, "|- x", "--cap-stability"],
+    ["interp", COUNTING, "x", "--cap-stability"],
+    ["eval", COUNTING, "x * ~x", "--clauses", "linear", "--cap-stability"],
+])
+def test_cap_stability_builds_one_wide_frame(capsys, monkeypatch, argv):
+    cli = importlib.import_module("roleforge.cli")
+    original, caps = cli.Frame.with_cap, []
+
+    def with_cap(frame, cap):
+        caps.append(cap)
+        return original(frame, cap)
+
+    monkeypatch.setattr(cli.Frame, "with_cap", with_cap)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "no changes" in out
+    assert caps == [10]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_main_loads_each_frame_once(capsys, monkeypatch, command):
+    """Handlers get the frame from main; only morphism loads its own two."""
+    cli = importlib.import_module("roleforge.cli")
+    original, loaded = cli._load_frame, []
+
+    def load(path):
+        loaded.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli, "_load_frame", load)
+    argv = {
+        "rsr": [GOLDEN, "a |-"], "interp": [GOLDEN, "a"], "eval": [GOLDEN, "a"],
+        "entails": [GOLDEN, "a |- a"], "nmms": [GOLDEN, "a |- a"], "trace": [GOLDEN, "a |- a"],
+        "check": [GOLDEN, "reflexive"], "compare": [GOLDEN, "--depth", "0"],
+        "morphism": [GOLDEN, GOLDEN, "a->a,b->b"],
+    }.get(command, [GOLDEN])
+    code, out, _ = run(capsys, command, *argv, "--format", "json")
+    assert code in (0, 1)
+    assert loaded == ([GOLDEN, GOLDEN] if command == "morphism" else [GOLDEN])
+    payload = json.loads(out)
+    assert payload["frame"] == " -> ".join(loaded)
+    assert payload["meta"]["cap"] is None
+
+
 def test_check_commands(capsys):
     assert run(capsys, "check", GOLDEN, "reflexive")[0] == 0
     assert run(capsys, "check", GOLDEN, "containment")[0] == 0

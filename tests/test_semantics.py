@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -122,6 +124,21 @@ def test_eval_cache_reuses_contents(golden_frame):
     first = interp.eval(f)
     assert interp.eval(f) == first
     assert (f, "classical") in interp._eval_cache
+
+
+def test_interpretation_cache_keeps_only_the_latest_frame():
+    """A dropped frame's interpretation, and with it its kernel, is freed."""
+    interpretation.cache_clear()
+
+    def query(cap):
+        frame = nontransitive_demo_frame(cap)
+        assert entails(frame, ["x"], ["x"], "linear")
+        return weakref.ref(frame)
+
+    refs = [query(cap) for cap in (3, 4, 5)]
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False]
+    interpretation.cache_clear()
 
 
 # -- semantic consequence -----------------------------------------------------------
