@@ -418,21 +418,30 @@ def _cmd_morphism(args, _frame) -> tuple[int, Report]:
 
     result = {}
     lines = []
+
+    def record(key: str, verdict, witness, failed: str):
+        result[key] = {"ok": verdict.ok, "witness": witness}
+        line = key if verdict.ok else f"{failed}: {witness}"
+        if verdict.truncated:
+            result[key]["truncated"] = True
+            line += f" (truncated: counts above 2*cap={2 * target.cap} read as coherent)"
+        lines.append(line)
+
     if args.kind in ("conservative", "both"):
         verdict = check_conservative(m)
         witness = verdict.witness.render(source.atoms) if verdict.witness else None
-        result["conservative"] = {"ok": verdict.ok, "witness": witness}
-        lines.append("conservative" if verdict.ok else f"not conservative: {witness}")
+        record("conservative", verdict, witness, "not conservative")
     if args.kind in ("continuous", "both"):
         verdict = check_continuous(m)
         witness = None
         if verdict.witness:
+            # The target position is rendered in the target's atoms.
             witness = {
-                k: (v.render(source.atoms) if isinstance(v, Position) else str(v))
+                k: v.render((target if k == "target_position" else source).atoms)
+                if isinstance(v, Position) else str(v)
                 for k, v in verdict.witness.items()
             }
-        result["continuous"] = {"ok": verdict.ok, "witness": witness}
-        lines.append("continuous" if verdict.ok else f"not continuous: {witness}")
+        record("continuous", verdict, witness, "not continuous")
     return _verdict(all(v["ok"] for v in result.values()), Report("check", result, lines))
 
 

@@ -27,6 +27,8 @@ ATOM_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
 SET_MODE_ATOM_LIMIT = 16
 MAX_WINDOW = 1 << 20
+# Largest position-code range compiled by bot_bits: a 2 MB int, 12 set-mode atoms.
+MAX_RELATION_CODES = 1 << 24
 
 GENERATOR_NAMES = ("diagonal", "containment", "reflexivity")
 
@@ -53,10 +55,15 @@ class ModeMismatchError(FrameError):
 
 
 class Verdict(NamedTuple):
-    """Boolean check result carrying a counterexample when false."""
+    """Boolean check result carrying a counterexample when false.
+
+    ``truncated`` marks a window-relative verdict that read the relation
+    at a position with a count above ``2*cap``, where it is undecided and
+    counted as coherent (multiset morphism checks)."""
 
     ok: bool
     witness: object = None
+    truncated: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
@@ -298,8 +305,9 @@ class Frame:
 
         This is the relation's specification: the frame's membership rules
         written out one position at a time.  ``bot_bits`` compiles the same
-        relation into an int for the blocker kernel; NMMS leaves, morphisms,
-        suites and oracles decide positions here.
+        relation into an int for the blocker kernel, the morphism checks and
+        the conservativity suite; NMMS leaves, the structural predicates
+        and the oracles decide positions here.
 
         Works for any encodable position (counts up to ``2*cap`` in multiset
         mode), not just window positions, so sums of window positions are
@@ -341,6 +349,11 @@ class Frame:
         if self._bot_bits is None:
             n, r = self.n, self.code_radix()
             size, half = r ** (2 * n), r ** n
+            if size > MAX_RELATION_CODES:
+                raise FrameError(
+                    f"relation over {size} position codes is too large to compile "
+                    f"(limit {MAX_RELATION_CODES})"
+                )
             bits = 0
             for code in self.position_codes(self.explicit):
                 bits |= 1 << code

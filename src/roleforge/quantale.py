@@ -6,7 +6,7 @@ intersection (closed sets are intersection-closed).  The dualizing element is
 the role of the empty position, i.e. the window part of the incoherence
 relation itself; the unit is the closure of the empty position's singleton.
 
-The pre-closure sum sets come from the per-frame kernel in ``rsr``.  In
+The tensor, rsr and closure come from the per-frame kernel in ``rsr``.  In
 multiset mode all of this is window-relative: position sums that leave the
 window are dropped from the pre-closure set (and counted, so reports can
 say whether truncation actually occurred).
@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .frames import Frame, FrameError
-from .rsr import (
-    RoleLattice, blocker_masks, closure_mask, role_lattice, rsr_mask, tensor_sums,
-)
+from .rsr import RoleLattice, closure_mask, role_lattice, rsr_mask, tensor_closure
 
 
 class IdempotenceError(FrameError):
@@ -50,7 +48,7 @@ class QuantaleOps:
         self.dropped_sums = 0
 
         # rsr of the empty position's singleton is its principal blocker.
-        self.dualizer_mask = blocker_masks(frame)[frame.empty_index()]
+        self.dualizer_mask = rsr_mask(frame, 1 << frame.empty_index())
         self.unit_mask = rsr_mask(frame, self.dualizer_mask)
 
     @property
@@ -67,9 +65,9 @@ class QuantaleOps:
         key = (a, b) if a <= b else (b, a)
         hit = self._tensor_masks.get(key)
         if hit is None:
-            sums, dropped = tensor_sums(self.frame, a, b)
+            hit, dropped = tensor_closure(self.frame, a, b)
             self.dropped_sums += dropped
-            hit = self._tensor_masks[key] = closure_mask(self.frame, sums)
+            self._tensor_masks[key] = hit
         return hit
 
     def join_mask(self, a: int, b: int) -> int:

@@ -6,17 +6,17 @@ operator; the closed sets ("roles") form a complete lattice, the carrier of
 the frame's Girard quantale.
 
 Position sets are bit-vectors: bit ``i`` stands for the window position with
-canonical index ``i``.  Principal blocker sets ``p^bot`` are precomputed once
-per frame and every rsr call is an intersection of them.  A role is a closed
-mask: the quantale and the semantics take and return masks and never need
-the whole lattice.  ``role_lattice`` enumerates it only for callers that
-list roles or print their ranks, which ``RoleLattice.index_of`` reads off a
-mask.  Since every role is an intersection of blockers, the enumeration
-adds one distinct blocker at a time and meets it with the roles found so
-far: O(G*R) intersections for G distinct blockers and R roles.
+canonical index ``i``.  rsr of a set is the intersection of its members'
+principal blockers ``p^bot``.  A role is a closed mask: the quantale and the
+semantics take and return masks and never need the whole lattice.
+``role_lattice`` enumerates it only for callers that list roles or print
+their ranks, which ``RoleLattice.index_of`` reads off a mask.  Since every
+role is an intersection of blockers, the enumeration adds one distinct
+blocker at a time and meets it with the roles found so far: O(G*R)
+intersections for G distinct blockers and R roles.
 
-The blockers and the tensor's position sums come from one bit-parallel
-kernel per frame, built on first use:
+rsr, closure and the tensor come from one bit-parallel kernel per frame,
+built on first use:
 
 * set mode -- a window index is the position's 2n-bit code and the sum of
   two positions is the OR of their codes.  With ``M_k`` the mask of codes
@@ -24,16 +24,21 @@ kernel per frame, built on first use:
   blockers follow from one pass over the codes in increasing order:
   ``c = blk[p ^ low] & M_k; blk[p] = c | (c >> low)``, starting from
   ``blk[0]``, the window part of the relation (``Frame.bot_bits()``).
-  Adding a position to every member of a mask is one such step per bit of
-  the position.
+  The kernel stores them and meets them for rsr.  Adding a position to
+  every member of a mask is one such step per bit of the position.
 * multiset mode -- a position's grid code is ``sum_k q_k * (2cap+1)^k`` over
   its 2n counts (``Frame.position_codes``).  Sums of window positions have
   counts up to ``2*cap``, so codes add without carries and adding a
   position is a left shift.  The relation over the whole grid is the
-  frame's compiled int ``Frame.bot_bits()``, and ``p^bot`` is that grid
-  read from ``code(p)`` on and gathered at the window codes in canonical
-  order.  Tensor sums shift the grid image of one role by each member of
-  the other; sums that leave the window are dropped and counted.
+  frame's compiled int ``Frame.bot_bits()``, so ``p^bot`` on grid codes is
+  ``bot_bits >> code(p)`` masked to the window codes.  rsr ANDs those
+  shifts over the members of a mask; closure runs rsr again over the bits
+  of that grid mask; the tensor shifts the grid image of one role by each
+  member of the other, drops and counts the sums that leave the window,
+  and closes them on the grid.  Each converts to a window mask once, at
+  the end.  The blocker list, each ``p^bot`` gathered at the window codes,
+  is built only when ``blocker_masks`` reads it (``principal_blockers``,
+  ``role_lattice``).
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ from typing import Iterable, Union
 from .frames import Frame, FrameError, Position
 
 DEFAULT_MAX_ROLES = 1 << 20
-# Largest window whose blockers are built: W masks of W bits, 32 MB at the limit.
+# Largest window the kernel serves.  Set mode stores W blockers of W bits,
+# 32 MB at the limit; multiset mode stores them only when they are read.
 MAX_BLOCKER_WINDOW = 1 << 14
 
 
@@ -52,27 +58,13 @@ class LatticeSizeError(FrameError):
     """Role lattice exceeded the configured bound."""
 
 
-class _RsrCache:
-    """The per-frame kernel: every ``p^bot`` and the tensor's sum sets."""
+class _SetKernel:
+    """Set-mode kernel: every ``p^bot``, stored, and the tensor's sum sets."""
 
-    __slots__ = ("blockers", "full_mask", "_set_mode", "_with_bit", "_without_bit",
-                 "_codes", "_grid_bits", "_outside", "_gather", "_scatter")
+    __slots__ = ("blockers", "full_mask", "_with_bit", "_without_bit")
 
-    def __init__(self, frame: Frame):
-        size = frame.window_cardinality()
-        if size > MAX_BLOCKER_WINDOW:
-            raise FrameError(
-                f"window of {size} positions is too large for principal blockers "
-                f"(limit {MAX_BLOCKER_WINDOW})"
-            )
+    def __init__(self, frame: Frame, size: int):
         self.full_mask = (1 << size) - 1
-        self._set_mode = frame.mode == "set"
-        if self._set_mode:
-            self._init_set(frame, size)
-        else:
-            self._init_multiset(frame)
-
-    def _init_set(self, frame: Frame, size: int):
         with_bit = []
         for k in range(2 * frame.n):
             low = 1 << k
@@ -90,10 +82,47 @@ class _RsrCache:
             blockers[p] = c | (c >> low)
         self.blockers = blockers
 
-    def _init_multiset(self, frame: Frame):
+    def rsr_mask(self, mask: int) -> int:
+        out, blockers = self.full_mask, self.blockers
+        for i in _iter_bits(mask):
+            out &= blockers[i]
+            if not out:
+                break
+        return out
+
+    def closure_mask(self, mask: int) -> int:
+        return self.rsr_mask(self.rsr_mask(mask))
+
+    def tensor_sums(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        # Both results are symmetric in A and B: loop over the smaller one.
+        if a_mask.bit_count() > b_mask.bit_count():
+            a_mask, b_mask = b_mask, a_mask
+        with_bit, without_bit = self._with_bit, self._without_bit
+        sums = 0
+        for a in _iter_bits(a_mask):
+            shifted = b_mask
+            while a:
+                low = a & -a
+                k = low.bit_length() - 1
+                shifted = (shifted & with_bit[k]) | ((shifted & without_bit[k]) << low)
+                a ^= low
+            sums |= shifted
+        return sums, 0
+
+    def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        return self.closure_mask(self.tensor_sums(a_mask, b_mask)[0]), 0
+
+
+class _MultisetKernel:
+    """Multiset-mode kernel on grid codes; ``p^bot`` is read off the relation."""
+
+    __slots__ = ("full_mask", "_bot", "_codes", "_grid_bits", "_window_grid",
+                 "_outside", "_gather", "_scatter", "_blockers")
+
+    def __init__(self, frame: Frame, size: int):
+        self.full_mask = (1 << size) - 1
         codes = frame.position_codes(frame.window())
         grid_bits = frame.code_radix() ** (2 * frame.n)
-        size = len(codes)
         # Grid strings hold one '0'/'1' per grid code, lowest code first.
         # _gather reads the window codes of such a string as a window mask;
         # _scatter places the digits of a window mask, highest bit first and
@@ -103,10 +132,18 @@ class _RsrCache:
         self._scatter = itemgetter(*(where.get(c, size) for c in range(grid_bits - 1, -1, -1)))
         self._codes = codes
         self._grid_bits = grid_bits
-        self._outside = ((1 << grid_bits) - 1) ^ self._to_grid(self.full_mask)
-        bot = f"{frame.bot_bits():0{grid_bits}b}"[::-1]
-        gather = self._gather
-        self.blockers = [int("".join(gather(bot[c:])), 2) for c in codes]
+        self._bot = frame.bot_bits()
+        self._window_grid = self._to_grid(self.full_mask)
+        self._outside = ((1 << grid_bits) - 1) ^ self._window_grid
+        self._blockers = None
+
+    @property
+    def blockers(self) -> list[int]:
+        if self._blockers is None:
+            bot = f"{self._bot:0{self._grid_bits}b}"[::-1]
+            gather = self._gather
+            self._blockers = [int("".join(gather(bot[c:])), 2) for c in self._codes]
+        return self._blockers
 
     def _to_grid(self, mask: int) -> int:
         size = len(self._codes)
@@ -115,41 +152,67 @@ class _RsrCache:
     def _from_grid(self, grid: int) -> int:
         return int("".join(self._gather(f"{grid:0{self._grid_bits}b}"[::-1])), 2)
 
-    def tensor_sums(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        """Window mask of the sums a + b (a in A, b in B), and how many of
-        those |A|*|B| sums left the window."""
-        # Both results are symmetric in A and B: loop over the smaller one.
+    def _meet(self, codes) -> int:
+        """The window codes c with c + g in the relation for every g in
+        ``codes``, as a grid mask: rsr of the positions with those codes."""
+        out, bot = self._window_grid, self._bot
+        for g in codes:
+            out &= bot >> g
+            if not out:
+                break
+        return out
+
+    def _rsr_grid(self, mask: int) -> int:
+        return self._meet(map(self._codes.__getitem__, _iter_bits(mask)))
+
+    def rsr_mask(self, mask: int) -> int:
+        return self._from_grid(self._rsr_grid(mask))
+
+    def closure_mask(self, mask: int) -> int:
+        return self._from_grid(self._meet(_iter_bits(self._rsr_grid(mask))))
+
+    def _sum_grid(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        """Grid mask of the window sums a + b, and how many sums left the window."""
         if a_mask.bit_count() > b_mask.bit_count():
             a_mask, b_mask = b_mask, a_mask
-        sums = 0
-        if self._set_mode:
-            with_bit, without_bit = self._with_bit, self._without_bit
-            for a in _iter_bits(a_mask):
-                shifted = b_mask
-                while a:
-                    low = a & -a
-                    k = low.bit_length() - 1
-                    shifted = (shifted & with_bit[k]) | ((shifted & without_bit[k]) << low)
-                    a ^= low
-                sums |= shifted
-            return sums, 0
         codes, outside = self._codes, self._outside
         b_grid = self._to_grid(b_mask)
-        dropped = 0
+        sums = dropped = 0
         for a in _iter_bits(a_mask):
             shifted = b_grid << codes[a]
             sums |= shifted
             dropped += (shifted & outside).bit_count()
+        return sums & self._window_grid, dropped
+
+    def tensor_sums(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        sums, dropped = self._sum_grid(a_mask, b_mask)
         return self._from_grid(sums), dropped
 
+    def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        sums, dropped = self._sum_grid(a_mask, b_mask)
+        return self._from_grid(self._meet(_iter_bits(self._meet(_iter_bits(sums))))), dropped
 
-def _cache(frame: Frame) -> _RsrCache:
+
+_Kernel = Union[_SetKernel, _MultisetKernel]
+
+
+def _cache(frame: Frame) -> _Kernel:
     if frame._rsr_cache is None:
-        frame._rsr_cache = _RsrCache(frame)
+        size = frame.window_cardinality()
+        if size > MAX_BLOCKER_WINDOW:
+            raise FrameError(
+                f"window of {size} positions is too large for principal blockers "
+                f"(limit {MAX_BLOCKER_WINDOW})"
+            )
+        kernel = _SetKernel if frame.mode == "set" else _MultisetKernel
+        frame._rsr_cache = kernel(frame, size)
     return frame._rsr_cache
 
 
 def blocker_masks(frame: Frame) -> list[int]:
+    """``p^bot`` for every window position, by window index.  Multiset
+    frames build this list on the first call; rsr, closure and the tensor
+    never read it."""
     return _cache(frame).blockers
 
 
@@ -158,8 +221,15 @@ def full_mask(frame: Frame) -> int:
 
 
 def tensor_sums(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
-    """Pre-closure tensor sum set of two window masks, and the dropped-sum count."""
+    """Pre-closure tensor sum set of two window masks, and the dropped-sum
+    count: how many of the |A|*|B| sums a + b left the window."""
     return _cache(frame).tensor_sums(a_mask, b_mask)
+
+
+def tensor_closure(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
+    """The tensor of two window masks, ``closure(A + B)``, and the dropped-sum
+    count of ``tensor_sums``."""
+    return _cache(frame).tensor_closure(a_mask, b_mask)
 
 
 def _iter_bits(mask: int):
@@ -183,17 +253,11 @@ def _iter_bits(mask: int):
 
 
 def rsr_mask(frame: Frame, mask: int) -> int:
-    cache = _cache(frame)
-    out = cache.full_mask
-    for i in _iter_bits(mask):
-        out &= cache.blockers[i]
-        if not out:
-            break
-    return out
+    return _cache(frame).rsr_mask(mask)
 
 
 def closure_mask(frame: Frame, mask: int) -> int:
-    return rsr_mask(frame, rsr_mask(frame, mask))
+    return _cache(frame).closure_mask(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ all right conclusory roles lands inside the dualizer role.
 
 A role is computed as its closed mask: contents are evaluated and sequents
 decided with the quantale's mask operations, which need only the frame's
-blockers.  The role lattice is enumerated only by callers that number
+kernel (``rsr``).  The role lattice is enumerated only by callers that number
 roles (``QuantaleOps.lattice``), never by evaluation or consequence.
 """
 
@@ -69,7 +69,7 @@ class Interpretation:
 
     Contents are evaluated as pairs of closed masks, memoized per formula,
     so evaluation and consequence never enumerate the role lattice.  The
-    quantale, and with it the frame's blocker kernel, is built on first use.
+    quantale, and with it the frame's kernel, is built on first use.
     """
 
     def __init__(self, frame: Frame):

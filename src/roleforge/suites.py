@@ -208,15 +208,20 @@ def sequent_suite(
 
 def conservativity_suite(frame: Frame) -> SuiteResult:
     """bot membership vs entailment of the interpreted atoms, over every
-    window position, with multiplicities."""
+    window position, with multiplicities.
+
+    Each atom's content is evaluated once; a position then entails when
+    its atoms' masks, repeated by multiplicity, pass the consequence fold
+    of ``Interpretation._entails_masks``."""
     interp = interpretation(frame)
-    clauses = "classical" if frame.mode == "set" else "linear"
+    atoms = [interp._atom_masks(name) for name in frame.atoms.names]
+    bot = frame.bot_window_mask()
     result = SuiteResult("conservativity")
-    for p in frame.window():
-        lhs = [Atom(n) for n, c in zip(frame.atoms.names, p.left) for _ in range(c)]
-        rhs = [Atom(n) for n, c in zip(frame.atoms.names, p.right) for _ in range(c)]
-        expected = frame.bot_member(p)
-        got = interp.entails(lhs, rhs, clauses)
+    for i, p in enumerate(frame.window()):
+        lhs = [m for m, c in zip(atoms, p.left) for _ in range(c)]
+        rhs = [m for m, c in zip(atoms, p.right) for _ in range(c)]
+        expected = bool(bot >> i & 1)
+        got = interp._entails_masks(lhs, rhs)
         result.checked += 1
         if expected != got:
             result.violations.append(

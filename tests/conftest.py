@@ -75,10 +75,16 @@ def kernel_frames():
             frames.append(Frame(names, "set", explicit=explicit, generators=gens))
     for names, caps in ((("x",), range(1, 9)), (("x", "y"), range(1, 4))):
         for cap in caps:
-            explicit = set()
-            for _ in range(3 * cap):
-                counts = tuple(rng.randint(0, 2 * cap) for _ in range(2 * len(names)))
-                explicit.add(Position(counts[:len(names)], counts[len(names):]))
-            gens = ("diagonal",) if cap % 2 else ("reflexivity",)
-            frames.append(Frame(names, "multiset", cap=cap, explicit=explicit, generators=gens))
+            frames.append(random_multiset_frame(rng, names, cap))
     return frames
+
+
+def random_multiset_frame(rng: random.Random, names, cap: int) -> Frame:
+    """3*cap random explicit positions with counts up to 2*cap, plus the
+    diagonal generator at odd caps and reflexivity at even ones."""
+    explicit = set()
+    for _ in range(3 * cap):
+        counts = tuple(rng.randint(0, 2 * cap) for _ in range(2 * len(names)))
+        explicit.add(Position(counts[:len(names)], counts[len(names):]))
+    gens = ("diagonal",) if cap % 2 else ("reflexivity",)
+    return Frame(names, "multiset", cap=cap, explicit=explicit, generators=gens)

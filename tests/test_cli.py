@@ -302,6 +302,18 @@ def test_window_limits_are_usage_errors(capsys, tmp_path):
         assert "too large for principal blockers" in err
 
 
+def test_morphism_into_a_relation_too_large_to_compile(capsys, tmp_path):
+    """Morphism checks read the target's compiled relation: 4^13 codes at
+    13 set-mode atoms, above the limit, fail before compiling."""
+    names = " ".join(f"a{i}" for i in range(13))
+    big = tmp_path / "thirteen.frame"
+    big.write_text(f"atoms = {names}\nmode = set\ngenerators {{ containment }}\nincoherent {{ }}\n")
+    for kind in ("conservative", "continuous"):
+        code, out, err = run(capsys, "morphism", GOLDEN, str(big), "a->a0,b->a1", "--kind", kind)
+        assert (code, out) == (2, "")
+        assert "too large to compile" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["check", GOLDEN, "supralinear", "--samples", "-5"], "argument --samples: must be at least 1, got -5"),
     (["check", GOLDEN, "supraclassical", "--samples", "0"], "argument --samples: must be at least 1, got 0"),

@@ -3,7 +3,8 @@
 Every case runs ``roleforge`` in-process from the repository root and
 compares its standard output, standard error and exit code with the capture
 stored in ``tests/data/cli_commands.json``.  The cases cover each command in
-plain and JSON form, ``--cap-stability`` on the multiset frame, and the usage
+plain and JSON form, ``--cap-stability`` on multiset frames (a changed
+extension included), a morphism verdict truncated at the target's range, and the usage
 errors a handler raises (exit 2).  ``tests/test_cli_pinned.py`` pins the
 commands that read the role lattice, ``tests/test_cli_help.py`` help and
 argument errors.
@@ -30,6 +31,12 @@ NONTRANSITIVE = "frames/nontransitive.frame"
 CONTAINMENT3 = "tests/data/containment3.frame"
 LABELS = "tests/data/nonmonotonic_labels.json"
 MISSING = "tests/data/missing.frame"
+# One atom at cap 1 whose conclusory role loses x |- x at cap 3.
+STABILITY_CHANGED = "tests/data/stability_changed.frame"
+# x, y -> z at cap 2 into a target where every encodable position is
+# incoherent: image sums leave the target's range.
+MERGE_SOURCE = "tests/data/merge_source.frame"
+MERGE_TARGET = "tests/data/merge_target.frame"
 
 # name -> argv; each runs once in plain form and once with --format json.
 COMMANDS = {
@@ -50,6 +57,7 @@ COMMANDS = {
     "eval-labels": ["eval", NONMONOTONIC, "a /\\ ~a", "--labels", LABELS],
     "interp-nontransitive-stability": ["interp", NONTRANSITIVE, "x", "--cap-stability"],
     "interp-nonmonotonic-stability": ["interp", NONMONOTONIC, "b", "--cap-stability"],
+    "interp-stability-changed": ["interp", STABILITY_CHANGED, "x", "--cap-stability"],
     "eval-nontransitive-stability": [
         "eval", NONTRANSITIVE, "x * ~x | (x + x)", "--clauses", "linear", "--cap-stability"],
     "eval-nontransitive-stability-tensor": [
@@ -93,6 +101,7 @@ COMMANDS = {
                               "--kind", "conservative"],
     "morphism-continuous": ["morphism", CONTAINMENT3, CONTAINMENT3, "a->a,b->b,c->c",
                             "--kind", "continuous"],
+    "morphism-merge-truncated": ["morphism", MERGE_SOURCE, MERGE_TARGET, "x->z,y->z"],
     # Usage errors raised after parsing: exit 2, nothing on stdout.
     "error-unknown-atom-interp": ["interp", NONMONOTONIC, "z"],
     "error-unknown-atom-eval": ["eval", NONMONOTONIC, "a /\\ z"],

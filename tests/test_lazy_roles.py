@@ -6,6 +6,8 @@
 * ``role_lattice`` against the pairwise intersection fixpoint it replaced.
 * A guard: with role enumeration made to fail, entailment and the
   conservativity suite still answer.
+* A guard: with the multiset blocker list made to fail, entailment, rsr,
+  closure, the conservativity suite and the morphism checks still answer.
 """
 
 import importlib
@@ -238,3 +240,52 @@ def test_entails_and_conservativity_without_the_lattice(no_role_lattice, tmp_pat
     assert main(["entails", str(path), "a |- a"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "true" and out[-1] == "true"
+
+
+# -- the guard: multiset queries never build the blocker list ------------------------
+
+
+@pytest.fixture()
+def no_blocker_list(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the multiset blocker list was built")
+
+    monkeypatch.setattr(rsr_module._MultisetKernel, "blockers", property(refuse))
+    interpretation.cache_clear()
+    yield
+    interpretation.cache_clear()
+
+
+def diagonal_text(names, cap):
+    return (f"atoms = {' '.join(names)}\nmode = multiset\ncap = {cap}\n"
+            f"generators {{ diagonal }}\nincoherent {{\n}}\n")
+
+
+def test_multiset_queries_without_the_blocker_list(no_blocker_list, tmp_path):
+    from roleforge.morphisms import FrameMorphism, check_conservative, check_continuous
+    from roleforge.rsr import closure, rsr
+
+    frame = parse_frame(diagonal_text("x", 13))
+    interp = interpretation(frame)
+    assert interp.entails(["x"], ["x"], "linear")
+    assert not interp.entails([], ["x * x"], "linear")
+    assert len(rsr(frame, [frame.position(["x"], [])])) > 0
+    assert len(closure(frame, [frame.position(["x"], ["x"])])) > 0
+    suite = conservativity_suite(frame)
+    assert suite.ok and suite.checked == 196
+    source = parse_frame(diagonal_text("xy", 2))
+    target = parse_frame(diagonal_text("z", 2))
+    m = FrameMorphism(source, target, {"x": "z", "y": "z"})
+    assert not check_conservative(m).ok
+    assert not check_continuous(m).ok
+
+    paths = {}
+    for name, text in (("x13", diagonal_text("x", 13)), ("xy2", diagonal_text("xy", 2)),
+                       ("z2", diagonal_text("z", 2))):
+        paths[name] = tmp_path / f"{name}.frame"
+        paths[name].write_text(text)
+    x13 = str(paths["x13"])
+    assert main(["entails", x13, "x |- x", "--clauses", "linear"]) == 0
+    assert main(["rsr", x13, "x |-; |- x, x", "--cap-stability"]) == 0
+    assert main(["check", x13, "conservativity"]) == 0
+    assert main(["morphism", str(paths["xy2"]), str(paths["z2"]), "x->z,y->z"]) == 1

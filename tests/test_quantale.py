@@ -4,7 +4,7 @@ from roleforge.frames import Frame, parse_frame
 from roleforge.quantale import IdempotenceError, check_gq_laws, is_join_idempotent, quantale
 from roleforge.rsr import (
     LatticeSizeError, PositionSet, Role, closure_mask, is_role, role_lattice, rsr_mask,
-    tensor_sums,
+    tensor_closure, tensor_sums,
 )
 from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
@@ -327,7 +327,9 @@ def test_tensor_sums_match_per_pair_sums(frame):
         for _ in range(20)
     ]
     for a, b in pairs:
-        assert tensor_sums(frame, a, b) == reference_tensor_sums(frame, a, b)
+        sums, dropped = reference_tensor_sums(frame, a, b)
+        assert tensor_sums(frame, a, b) == (sums, dropped)
+        assert tensor_closure(frame, a, b) == (closure_mask(frame, sums), dropped)
 
 
 def test_tensor_tables_match_per_pair_sums(counting_frame):

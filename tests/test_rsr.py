@@ -5,11 +5,13 @@ from roleforge.frames import Frame, FrameError, Position
 from roleforge.oracles import rsr_naive
 from roleforge.rsr import (
     MAX_BLOCKER_WINDOW, LatticeSizeError, PositionSet, Role, blocker_masks, closure,
-    _iter_bits, is_role, principal_blockers, role_lattice, rsr,
+    _iter_bits, closure_mask, is_role, principal_blockers, role_lattice, rsr, rsr_mask,
+    tensor_closure,
 )
 from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
-from conftest import kernel_frames, pos, role_name, seeded
+from conftest import kernel_frames, pos, random_multiset_frame, role_name, seeded
+from test_quantale import reference_tensor_sums
 
 
 # -- rsr ------------------------------------------------------------------------
@@ -102,6 +104,30 @@ def test_blocker_kernel_matches_naive_rsr(frame):
     scan = sum(1 << i for i, p in enumerate(window) if frame.bot_member(p))
     assert frame.bot_window_mask() == scan
     assert blockers[frame.empty_index()] == scan
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y")], ids=["1-atom", "2-atoms"])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_multiset_kernel_matches_naive(names, cap):
+    """rsr, closure and the tensor on grid codes against rsr_naive and
+    per-pair sums; none of them builds the blocker list."""
+    rng = seeded(100 * cap + len(names))
+    frame = random_multiset_frame(rng, names, cap)
+
+    def naive_closure(mask):
+        return rsr_naive(frame, rsr_naive(frame, PositionSet(frame, mask))).mask
+
+    full = PositionSet.full(frame).mask
+    sparse, medium, dense = (random_position_subset(rng, frame, d).mask for d in (0.03, 0.1, 0.3))
+    # Subsets of the relation: their rsr holds the empty position.
+    bot = frame.bot_window_mask()
+    for a in (0, 1, full, sparse, medium, dense, bot, dense & bot):
+        assert rsr_mask(frame, a) == rsr_naive(frame, PositionSet(frame, a)).mask
+        assert closure_mask(frame, a) == naive_closure(a)
+    for a, b in ((0, full), (full, 1), (sparse, full), (medium, dense), (dense, dense)):
+        sums, dropped = reference_tensor_sums(frame, a, b)
+        assert tensor_closure(frame, a, b) == (naive_closure(sums), dropped)
+    assert frame._rsr_cache._blockers is None
 
 
 @pytest.mark.parametrize("frame", [

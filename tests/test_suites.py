@@ -1,11 +1,14 @@
 from roleforge.formulas import Atom
+from roleforge.frames import Frame
 from roleforge.rsr import PositionSet
-from roleforge.semantics import Interpretation
+from roleforge.semantics import Interpretation, interpretation
 from roleforge.suites import (
-    all_one_atom_set_frames, compare_suite, count_sequents, formula_pool,
-    iter_all_sequents, nonmonotonic_demo_frame, one_atom_containment_frames,
-    sequent_suite, supraclassical_suite,
+    all_one_atom_set_frames, compare_suite, conservativity_suite, count_sequents,
+    formula_pool, iter_all_sequents, nonmonotonic_demo_frame, one_atom_containment_frames,
+    random_set_frame, sequent_suite, supraclassical_suite,
 )
+
+from conftest import random_multiset_frame, seeded
 
 def test_formula_pool_counts():
     assert len(formula_pool(("a",), 0)) == 1
@@ -57,3 +60,62 @@ def test_supraclassical_counts_only_valid_sequents(golden_frame):
     # every checked instance was classically valid by construction
     assert res.checked > 0
     assert res.ok
+
+
+# -- conservativity against one entails call per position -------------------------
+
+
+def conservativity_reference(frame):
+    """(checked, violations) from one ``Interpretation.entails`` per window
+    position, on the position's atoms repeated by multiplicity."""
+    interp = Interpretation(frame)
+    clauses = "classical" if frame.mode == "set" else "linear"
+    names = frame.atoms.names
+    checked, violations = 0, []
+    for p in frame.window():
+        lhs = [Atom(n) for n, c in zip(names, p.left) for _ in range(c)]
+        rhs = [Atom(n) for n, c in zip(names, p.right) for _ in range(c)]
+        expected = frame.bot_member(p)
+        got = interp.entails(lhs, rhs, clauses)
+        checked += 1
+        if expected != got:
+            violations.append({"position": p.render(frame.atoms), "bot": expected, "entails": got})
+    return checked, violations
+
+
+def equal_content_frame():
+    """Incoherent exactly when the left side is nonempty: a and b look alike."""
+    base = Frame(("a", "b"), "set")
+    return Frame(("a", "b"), "set", explicit=[p for p in base.window() if any(p.left)])
+
+
+def conservativity_frames():
+    """All one-atom set frames; seeded 2-3-atom set frames, one of them with
+    two atoms of equal content, whose masks the set-mode fold collapses;
+    seeded 1-2-atom multiset frames at caps 1-4."""
+    frames = list(all_one_atom_set_frames())
+    rng = seeded(1515)
+    for names in (("a", "b"), ("a", "b", "c")):
+        for density in (0.2, 0.5, 0.8):
+            frames.append(random_set_frame(rng, names, density=density))
+    frames.append(equal_content_frame())
+    for names in (("x",), ("x", "y")):
+        for cap in range(1, 5):
+            frames.append(random_multiset_frame(rng, names, cap))
+    # Window truncation breaks conservativity at x^3 y^3 |- x^3 y^3 here.
+    frames.append(random_multiset_frame(seeded(3), ("x", "y"), 3))
+    return frames
+
+
+def test_conservativity_suite_matches_per_position_entails():
+    twin = Interpretation(equal_content_frame())
+    assert twin._atom_masks("a") == twin._atom_masks("b")
+    frames = conservativity_frames()
+    failing = 0
+    for frame in frames:
+        interpretation.cache_clear()
+        suite = conservativity_suite(frame)
+        assert (suite.checked, suite.violations) == conservativity_reference(frame), frame
+        failing += bool(suite.violations)
+    interpretation.cache_clear()
+    assert 0 < failing < len(frames)  # the comparison sees both outcomes
