@@ -197,7 +197,7 @@ class Frame:
 
     __slots__ = (
         "atoms", "mode", "cap", "explicit", "generators",
-        "_window", "_windex", "_bot_bits", "_rsr_cache", "__weakref__",
+        "_window", "_windex", "_bot_bits", "_explicit_codes", "_rsr_cache", "__weakref__",
     )
 
     def __init__(
@@ -246,6 +246,7 @@ class Frame:
         self._window: Optional[tuple[Position, ...]] = None
         self._windex: Optional[dict[Position, int]] = None
         self._bot_bits: Optional[int] = None
+        self._explicit_codes: Optional[frozenset[int]] = None
         self._rsr_cache = None
 
     # -- value semantics ----------------------------------------------------
@@ -306,7 +307,8 @@ class Frame:
         This is the relation's specification: the frame's membership rules
         written out one position at a time.  ``bot_bits`` compiles the same
         relation into an int for the blocker kernel, the morphism checks and
-        the conservativity suite; NMMS leaves, the structural predicates
+        the conservativity suite, and ``bot_code`` decides set-mode codes
+        for classical consequence; NMMS leaves, the structural predicates
         and the oracles decide positions here.
 
         Works for any encodable position (counts up to ``2*cap`` in multiset
@@ -324,6 +326,25 @@ class Frame:
         if "reflexivity" in self.generators and p.degree == 2 and p.left == p.right:
             return True
         return False
+
+    def bot_code(self, code: int) -> bool:
+        """``bot_member`` of the set-mode position whose 2n-bit code is
+        ``code`` (left bits low, right bits high), read off the code itself,
+        so it holds at every atom count, where ``bot_bits`` stops at 12."""
+        if self.mode != "set":
+            raise ModeMismatchError("position codes are decided directly in set mode only")
+        if self._explicit_codes is None:
+            self._explicit_codes = frozenset(self.position_codes(self.explicit))
+        if code in self._explicit_codes:
+            return True
+        n = self.n
+        left, right = code & ((1 << n) - 1), code >> n
+        gens = self.generators
+        if left == right and (
+            "diagonal" in gens or ("reflexivity" in gens and left.bit_count() == 1)
+        ):
+            return True
+        return "containment" in gens and left & right != 0
 
     def code_radix(self) -> int:
         """Radix of position codes: 2 in set mode, ``2*cap + 1`` in multiset mode."""

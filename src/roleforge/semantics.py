@@ -20,6 +20,19 @@ A role is computed as its closed mask: contents are evaluated and sequents
 decided with the quantale's mask operations, which need only the frame's
 kernel (``rsr``).  The role lattice is enumerated only by callers that number
 roles (``QuantaleOps.lattice``), never by evaluation or consequence.
+
+Classical formulas skip the clauses.  Girard's phase-semantics identity
+``cl(cl(A) + cl(B)) = cl(A + B)`` holds on every set frame, so a tensor of
+closures is the closure of the position sums of its generators.  The
+classical clauses generate a formula's premisory and conclusory roles from
+its contractive NMMS leaf families ``L`` and ``R`` (``nmms._leaf_family``),
+which are union-closed; hence the content is ``(closure(L), closure(R))``,
+and since the dualizer is closed, a formula sequent holds iff every leaf of
+the summed families is incoherent.  A set-mode leaf is its 2n-bit position
+code, which is also its window index, and leaves sum by OR, so
+consequence reads the relation at codes (``Frame.bot_code``) and needs
+neither the window nor the kernel.  ``_classical_bin`` keeps the clauses on
+masks as the reference the suites compare against.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from .formulas import (
     Atom, Bin, CLASSICAL_OPS, Formula, LINEAR_OPS, Neg, binary_ops, parse_formula,
 )
 from .frames import Frame, FrameError, ModeMismatchError, Position
+from .nmms import _desugar, _leaf_family
 from .quantale import IdempotenceError, QuantaleOps, quantale
 from .rsr import Role, blocker_masks, closure_mask, is_role
 
@@ -70,11 +84,14 @@ class Interpretation:
     Contents are evaluated as pairs of closed masks, memoized per formula,
     so evaluation and consequence never enumerate the role lattice.  The
     quantale, and with it the frame's kernel, is built on first use.
+    Classical leaf families are memoized per formula and side as sets of
+    set-mode position codes.
     """
 
     def __init__(self, frame: Frame):
         self.frame = frame
         self._eval_cache: dict[tuple[Formula, str], MaskContent] = {}
+        self._leaf_cache: dict[tuple[Formula, bool], frozenset[int]] = {}
 
     @functools.cached_property
     def quantale(self) -> QuantaleOps:
@@ -114,6 +131,21 @@ class Interpretation:
                 f"connectives {sorted(stray)} are not part of the {clauses} clause set"
             )
 
+    def _leaf_codes(self, f: Formula, left: bool) -> frozenset[int]:
+        """The contractive NMMS leaf family of f alone on one side, as
+        set-mode position codes."""
+        key = (f, left)
+        hit = self._leaf_cache.get(key)
+        if hit is None:
+            index = self.frame.atoms.index
+            try:
+                leaves = _leaf_family(_desugar(f), left, index, True)
+            except KeyError as exc:  # the first unknown atom, left to right
+                raise FrameError(f"unknown atom {exc.args[0]!r}") from None
+            hit = frozenset(sum(bit << k for k, bit in enumerate(leaf)) for leaf in leaves)
+            self._leaf_cache[key] = hit
+        return hit
+
     def _eval_masks(self, f: Formula, clauses: str) -> MaskContent:
         key = (f, clauses)
         hit = self._eval_cache.get(key)
@@ -124,14 +156,17 @@ class Interpretation:
         elif isinstance(f, Neg):
             plus, minus = self._eval_masks(f.sub, clauses)
             out = (minus, plus)
+        elif clauses == "classical":
+            # A set-mode window index is the position code.
+            out = tuple(
+                closure_mask(self.frame, sum(1 << c for c in self._leaf_codes(f, left)))
+                for left in (True, False)
+            )
         else:
             assert isinstance(f, Bin)
             a = self._eval_masks(f.left, clauses)
             b = self._eval_masks(f.right, clauses)
-            if clauses == "classical":
-                out = self._classical_bin(f.op, a, b)
-            else:
-                out = connective_clause(self.quantale, f.op, a, b)
+            out = connective_clause(self.quantale, f.op, a, b)
         self._eval_cache[key] = out
         return out
 
@@ -142,6 +177,8 @@ class Interpretation:
             raise ClauseError(f"and-clause on a non-idempotent conclusory role: {exc}") from exc
 
     def _classical_bin(self, op, a: MaskContent, b: MaskContent) -> MaskContent:
+        """The classical clause of a binary connective on masks: the
+        reference that ``compare_suite`` and ``robbins_suite`` fold."""
         if op == "and":
             return self._and_clause(a, b)
         if op == "or":
@@ -181,17 +218,34 @@ class Interpretation:
         mode the sides are read as content *sets* (duplicates collapse); in
         multiset mode multiplicity counts.  Every formula entry is checked
         against the clause set before any entry is evaluated.
+
+        Classical sequents of formulas alone go by leaf families: by
+        ``cl(cl(A) + cl(B)) = cl(A + B)`` the tensor is the closure of the
+        sum of the left formulas' left families and the right formulas'
+        right families, and it lies in the closed dualizer iff every summed
+        leaf is incoherent.  That builds neither the window nor the kernel.
         """
         entries = [parse_formula(e) if isinstance(e, str) else e for e in (*lhs, *rhs)]
         for e in entries:
             if not isinstance(e, Content):
                 self._check_fragment(e, clauses)
+        if (clauses == "classical" and self.frame.mode == "set"
+                and not any(isinstance(e, Content) for e in entries)):
+            return self._entails_leaves(entries[:len(lhs)], entries[len(lhs):])
         masks = [
             (self._role_mask(e.premisory), self._role_mask(e.conclusory))
             if isinstance(e, Content) else self._eval_masks(e, clauses)
             for e in entries
         ]
         return self._entails_masks(masks[:len(lhs)], masks[len(lhs):])
+
+    def _entails_leaves(self, lhs: Sequence[Formula], rhs: Sequence[Formula]) -> bool:
+        sides = dict.fromkeys([(f, True) for f in lhs] + [(f, False) for f in rhs])
+        leaves = {0}
+        for f, left in sides:
+            family = self._leaf_codes(f, left)
+            leaves = {x | y for x in leaves for y in family}
+        return all(map(self.frame.bot_code, leaves))
 
     def _entails_masks(self, left: Sequence[MaskContent], right: Sequence[MaskContent]) -> bool:
         q = self.quantale

@@ -246,6 +246,26 @@ def clause_agreement_suite(frame: Frame) -> SuiteResult:
     return result
 
 
+def _clause_content(
+    interp: Interpretation, f: Formula, memo: dict[Formula, MaskContent]
+) -> MaskContent:
+    """The classical content of f folded from its atoms' contents by the
+    mask clauses (``Interpretation._classical_bin``)."""
+    hit = memo.get(f)
+    if hit is None:
+        if isinstance(f, Atom):
+            hit = interp._atom_masks(f.name)
+        elif isinstance(f, Neg):
+            plus, minus = _clause_content(interp, f.sub, memo)
+            hit = (minus, plus)
+        else:
+            hit = interp._classical_bin(
+                f.op, _clause_content(interp, f.left, memo), _clause_content(interp, f.right, memo)
+            )
+        memo[f] = hit
+    return hit
+
+
 def compare_suite(
     frame: Frame,
     *,
@@ -256,16 +276,25 @@ def compare_suite(
     candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
     interp: Optional[Interpretation] = None,
 ) -> SuiteResult:
-    """NMMS unfolding vs semantic consequence, contractive/classical."""
+    """NMMS unfolding vs semantic consequence, contractive/classical.
+
+    ``Interpretation.entails`` decides classical formula sequents by NMMS
+    leaf families, so the semantic side here is the reference fold instead:
+    atom contents, the classical clauses on masks, then the tensor of the
+    sequent's roles against the dualizer."""
     if interp is None:
         interp = interpretation(frame)
     pool = formula_pool(frame.atoms.names, depth, CLASSICAL_BIN_OPS)
     result = SuiteResult("nmms-vs-semantics")
+    contents: dict[Formula, MaskContent] = {}
     for lhs, rhs in sequent_suite(
         pool, max_side=max_side, seed=seed, samples=samples, candidate_limit=candidate_limit
     ):
         syntactic = decide(frame, FormulaSequent(lhs, rhs, "contractive"))
-        semantic = interp.entails(lhs, rhs, "classical")
+        semantic = interp._entails_masks(
+            [_clause_content(interp, f, contents) for f in lhs],
+            [_clause_content(interp, f, contents) for f in rhs],
+        )
         result.checked += 1
         if syntactic != semantic:
             result.violations.append(

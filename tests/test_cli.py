@@ -8,8 +8,11 @@ import re
 import pytest
 
 from roleforge.cli import COMMANDS, _build_parser, main
+from roleforge.formulas import Atom, render_sequent
+from roleforge.nmms import FormulaSequent, decide
 
-from conftest import FRAMES_DIR, REPO
+from conftest import FRAMES_DIR, REPO, seeded
+from test_lazy_roles import random_formula
 
 GOLDEN = str(FRAMES_DIR / "nonmonotonic.frame")
 COUNTING = str(FRAMES_DIR / "nontransitive.frame")
@@ -161,6 +164,41 @@ def test_entails_clause_error_builds_no_kernel(capsys, tmp_path, monkeypatch,
     (frame,) = loaded
     assert frame._rsr_cache is None
     assert cli.interpretation(frame).frame._rsr_cache is None
+
+
+@pytest.mark.parametrize("n", [8, 10, 16])
+def test_classical_entails_builds_no_window_or_kernel(capsys, tmp_path, monkeypatch, n):
+    """Classical formula sequents are decided on NMMS leaf families, so
+    entails answers past the kernel's 7 set-mode atoms and the window's 10,
+    as nmms does."""
+    cli = importlib.import_module("roleforge.cli")
+    original, loaded = cli._load_frame, []
+
+    def load(path):
+        loaded.append(original(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_frame", load)
+    names = [f"a{i}" for i in range(n)]
+    path = tmp_path / f"c{n}.frame"
+    path.write_text(f"atoms = {' '.join(names)}\nmode = set\n"
+                    "generators { containment }\nincoherent {\n  a0 |- a1\n}\n")
+    rng = seeded(n)
+    sequents = [((), ()), ((Atom("a0"),), (Atom("a1"),)), ((Atom("a1"),), (Atom("a0"),))]
+    for _ in range(20):
+        sequents.append(tuple(
+            tuple(random_formula(rng, names, 3, ("and", "or", "imp"))
+                  for _ in range(rng.randint(0, 2)))
+            for _side in range(2)))
+    verdicts = set()
+    for lhs, rhs in sequents:
+        code, out, _ = run(capsys, "entails", str(path), render_sequent(lhs, rhs))
+        want = decide(loaded[-1], FormulaSequent(lhs, rhs, "contractive"))
+        assert (code, out) == (0 if want else 1, f"{str(want).lower()}\n"), (lhs, rhs)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    for frame in loaded + [cli.interpretation(loaded[0]).frame]:
+        assert frame._window is None and frame._rsr_cache is None
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ from roleforge.frames import (
 )
 from roleforge.suites import all_one_atom_set_frames
 
-from conftest import FRAMES_DIR, pos, seeded
+from conftest import FRAMES_DIR, kernel_frames, pos, seeded
 
 
 # -- atoms and positions ------------------------------------------------------
@@ -337,3 +337,47 @@ def test_bot_bits_matches_bot_member_on_every_encodable_position():
             window = frame.window()
             scan = sum(1 << i for i, p in enumerate(window) if frame.bot_member(p))
             assert frame.bot_window_mask() == scan, frame
+
+
+# -- the code-level predicate against bot_member -----------------------------------
+
+
+def code_position(n: int, code: int) -> Position:
+    """The set-mode position with 2n-bit code ``code``: left bits low."""
+    return Position(tuple(code >> i & 1 for i in range(n)),
+                    tuple(code >> (n + i) & 1 for i in range(n)))
+
+
+def test_bot_code_matches_bot_member_on_kernel_set_frames():
+    frames = [f for f in kernel_frames() if f.mode == "set"]
+    assert len(frames) == 32
+    for frame in frames:
+        for code in range(1 << (2 * frame.n)):
+            assert frame.bot_code(code) == frame.bot_member(code_position(frame.n, code)), \
+                (frame, code)
+
+
+def test_bot_code_matches_bot_member_at_sixteen_atoms():
+    """Past bot_bits' limit: seeded codes, plus the diagonal and single-bit
+    diagonal codes that uniform codes almost never hit, under every
+    generator subset, with no explicit positions and with half the codes
+    explicit."""
+    n = 16
+    rng = seeded(1616)
+    codes = [rng.getrandbits(2 * n) for _ in range(10_000)]
+    lefts = [rng.getrandbits(n) for _ in range(500)] + [1 << k for k in range(n)] + [0]
+    codes += [left | left << n for left in lefts]
+    explicit = [code_position(n, c) for c in rng.sample(codes, len(codes) // 2)]
+    names = [f"a{i}" for i in range(n)]
+    subsets = [g for r in range(4) for g in itertools.combinations(GENERATOR_NAMES, r)]
+    positions = [code_position(n, c) for c in codes]
+    for gens in subsets:
+        for frame in (Frame(names, "set", generators=gens),
+                      Frame(names, "set", explicit=explicit, generators=gens)):
+            got = [frame.bot_code(c) for c in codes]
+            assert got == [frame.bot_member(p) for p in positions], frame
+
+
+def test_bot_code_is_set_mode_only(counting_frame):
+    with pytest.raises(ModeMismatchError):
+        counting_frame.bot_code(0)

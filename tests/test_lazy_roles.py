@@ -3,6 +3,8 @@
 * The mask path of ``Interpretation`` against a naive evaluator that
   recurses over the formula with closures from ``oracles.rsr_naive`` and
   tensors from per-pair position sums.
+* The classical leaf-family path (``entails`` on formulas, classical
+  contents) against the same evaluator's mask clauses.
 * ``role_lattice`` against the pairwise intersection fixpoint it replaced.
 * A guard: with role enumeration made to fail, entailment and the
   conservativity suite still answer.
@@ -15,8 +17,8 @@ import importlib
 import pytest
 
 from roleforge.cli import main
-from roleforge.formulas import Atom, Bin, Neg
-from roleforge.frames import parse_frame
+from roleforge.formulas import Atom, Bin, Neg, parse_formula
+from roleforge.frames import Frame, FrameError, parse_frame
 from roleforge.oracles import rsr_naive
 from roleforge.rsr import LatticeSizeError, PositionSet, blocker_masks, full_mask, role_lattice
 from roleforge.semantics import ClauseError, Interpretation, interpretation
@@ -164,6 +166,67 @@ def test_mask_path_matches_naive_evaluator(frame):
             rhs = tuple(rng.choice(formulas) for _ in range(rng.randint(0, 2)))
             got = outcome(interp.entails, lhs, rhs, clauses)
             assert got == outcome(naive.entails, lhs, rhs, clauses), (clauses, lhs, rhs)
+
+
+# -- classical leaf families against the mask clauses ---------------------------------
+
+
+SET_FRAMES = [f for f in kernel_frames() if f.mode == "set"]
+
+
+def fresh(frame):
+    """An equal frame with no window, kernel or interpretation built yet."""
+    return Frame(frame.atoms, "set", explicit=frame.explicit, generators=frame.generators)
+
+
+@pytest.mark.parametrize("frame", SET_FRAMES)
+def test_leaf_path_matches_mask_clauses(frame):
+    """Verdicts first, on a fresh frame: they build neither the window nor
+    the kernel.  Then both content masks of every formula."""
+    naive = NaiveSemantics(frame)
+    names = frame.atoms.names
+    rng = seeded(1616)
+    count = 8 if frame.n == 1 else 5
+    formulas = [random_formula(rng, names, 3, CLASSICAL) for _ in range(count)]
+    frame = fresh(frame)
+    interp = Interpretation(frame)
+    for _ in range(2 * count):
+        lhs = tuple(rng.choice(formulas) for _ in range(rng.randint(0, 3)))
+        rhs = tuple(rng.choice(formulas) for _ in range(rng.randint(0, 3)))
+        assert interp.entails(lhs, rhs) == naive.entails(lhs, rhs, "classical"), (lhs, rhs)
+    assert frame._window is None and frame._rsr_cache is None
+    for f in formulas:
+        assert content_masks(interp.eval(f)) == naive.content(f, "classical"), f
+
+
+def test_content_entries_take_the_mask_path():
+    """A sequent mixing a Content with formulas is decided on masks."""
+    def refuse(*args):
+        raise AssertionError("a sequent with a Content took the leaf path")
+
+    verdicts = set()
+    for frame in SET_FRAMES[16:24]:  # the two-atom frames
+        interp, naive = Interpretation(frame), NaiveSemantics(frame)
+        interp._entails_leaves = refuse
+        lhs, rhs = ("a", "a -> ~b /\\ a"), ("~b", "b \\/ a")
+        got = interp.entails([interp.atom("a"), lhs[1]], rhs)
+        want = naive.entails([parse_formula(f) for f in lhs], [parse_formula(f) for f in rhs],
+                             "classical")
+        assert got == want, frame
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_leaf_path_names_the_first_unknown_atom():
+    """Left to right over the sequent, as evaluation meets them, not in the
+    sorted order of the NMMS atom check."""
+    interp = Interpretation(fresh(SET_FRAMES[-1]))
+    with pytest.raises(FrameError) as exc:
+        interp.entails(["a", "~(zz \\/ b -> yy)"], ["xx"])
+    assert str(exc.value) == "unknown atom 'zz'"
+    with pytest.raises(FrameError) as exc:
+        interp.eval("yy /\\ (a -> xx)")
+    assert str(exc.value) == "unknown atom 'yy'"
 
 
 # -- the enumerator against the pairwise fixpoint ------------------------------------

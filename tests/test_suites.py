@@ -8,7 +8,7 @@ from roleforge.suites import (
     random_set_frame, sequent_suite, supraclassical_suite,
 )
 
-from conftest import random_multiset_frame, seeded
+from conftest import kernel_frames, random_multiset_frame, seeded
 
 def test_formula_pool_counts():
     assert len(formula_pool(("a",), 0)) == 1
@@ -53,6 +53,19 @@ def test_compare_suite_negative_control(golden_frame):
     res = compare_suite(frame, depth=1, max_side=1, interp=interp)
     assert not res.ok
     assert any("|- a" in v["sequent"] for v in res.violations)
+
+
+def test_compare_suite_reads_no_leaf_family(monkeypatch):
+    """The suite's semantic side is the mask-clause fold, independent of
+    the leaf families that classical entails and contents use."""
+    def refuse(self, f, left):
+        raise AssertionError("compare_suite read a leaf family")
+
+    monkeypatch.setattr(Interpretation, "_leaf_codes", refuse)
+    for frame in kernel_frames():
+        if frame.mode == "set":
+            res = compare_suite(frame, depth=1, max_side=1, interp=Interpretation(frame))
+            assert res.ok and res.checked == (1 + 2 * frame.n + 3 * frame.n ** 2) ** 2, frame
 
 
 def test_supraclassical_counts_only_valid_sequents(golden_frame):
