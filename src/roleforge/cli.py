@@ -32,7 +32,7 @@ from .frames import Frame, FrameError, Position, parse_frame
 from .morphisms import FrameMorphism, check_conservative, check_continuous
 from .nmms import FormulaSequent, decide, reduction_trace
 from .quantale import QuantaleOps, check_gq_laws, is_join_idempotent
-from .rsr import PositionSet, rsr
+from .rsr import PositionSet, kernel_window, rsr
 from .semantics import Content, interpretation
 from .suites import (
     cap_stability_suite, clause_agreement_suite, compare_suite, conservativity_suite,
@@ -415,6 +415,9 @@ def _cmd_morphism(args, _frame) -> tuple[int, Report]:
         src, tgt = (part.strip() for part in chunk.split("->", 1))
         mapping[src] = tgt
     m = FrameMorphism(source, target, mapping)
+    if args.kind == "both":
+        # Refuse a source too large for continuity before the conservative check.
+        kernel_window(source)
 
     result = {}
     lines = []

@@ -416,6 +416,8 @@ class Frame:
         Set mode: bit-word order (left bits low, right bits high), so a
         position's window index equals its 2n-bit code.  Multiset mode:
         graded by total degree, then lexicographic on the count vectors.
+        ``order_key`` sorts positions into this order; the empty position
+        comes first.
         """
         if self._window is None:
             n = self.n
@@ -436,17 +438,21 @@ class Frame:
                     Position(vec[:n], vec[n:])
                     for vec in itertools.product(counts, repeat=2 * n)
                 ]
-                positions.sort(key=lambda p: (p.degree, p.left + p.right))
+                positions.sort(key=self.order_key)
             self._window = tuple(positions)
             self._windex = {p: i for i, p in enumerate(self._window)}
         return self._window
 
+    def order_key(self, p: Position) -> tuple:
+        """Sort key of the window's order (see ``window``).  In set mode it
+        is the digits of the position's code, most significant first."""
+        if self.mode == "set":
+            return (p.left + p.right)[::-1]
+        return (p.degree, p.left + p.right)
+
     def window_index(self, p: Position) -> Optional[int]:
         self.window()
         return self._windex.get(p)
-
-    def window_size(self) -> int:
-        return len(self.window())
 
     def window_cardinality(self) -> int:
         """Size of the window, computed arithmetically (never materializes)."""
@@ -469,11 +475,6 @@ class Frame:
         codes = self.position_codes(self.window())
         grid = f"{self.bot_bits():0{self.code_radix() ** (2 * self.n)}b}"[::-1]
         return int("".join(itemgetter(*reversed(codes))(grid)), 2)
-
-    def empty_index(self) -> int:
-        idx = self.window_index(Position.zero(self.n))
-        assert idx is not None
-        return idx
 
     def with_cap(self, cap: int) -> "Frame":
         """Same frame data at a different window cap (multiset mode only)."""
@@ -566,7 +567,7 @@ def parse_frame(text: str) -> Frame:
                 raise FrameSyntaxError("expected 'atoms = name ...'", line_no, col)
             if atoms_names is not None:
                 raise FrameSyntaxError("duplicate atoms directive", line_no, col)
-            atoms_names = m.group(1).split()
+            atoms_names, atoms_at = m.group(1).split(), (line_no, col)
         elif s.startswith("mode"):
             m = re.fullmatch(r"mode\s*=\s*(\w+)", s)
             if not m or m.group(1) not in ("set", "multiset"):
@@ -576,7 +577,7 @@ def parse_frame(text: str) -> Frame:
             mode = m.group(1)
         elif s.startswith("cap"):
             m = re.fullmatch(r"cap\s*=\s*(\d+)", s)
-            if not m:
+            if not m or int(m.group(1)) < 1:
                 raise FrameSyntaxError("expected 'cap = <positive integer>'", line_no, col)
             if cap is not None:
                 raise FrameSyntaxError("duplicate cap directive", line_no, col)
@@ -616,9 +617,10 @@ def parse_frame(text: str) -> Frame:
         raise FrameSyntaxError("cap is only allowed in multiset mode", max(len(lines), 1), 1)
 
     try:
-        atoms = AtomTable(tuple(atoms_names))
+        # Checks the atom names, and their number against the set-mode limit.
+        atoms = Frame(atoms_names, mode, cap=cap).atoms
     except FrameError as exc:
-        raise FrameSyntaxError(str(exc), 1, 1) from exc
+        raise FrameSyntaxError(str(exc), *atoms_at) from exc
 
     positions = []
     for text_line, line_no, col in incoherent or ():
@@ -638,13 +640,6 @@ def parse_frame(text: str) -> Frame:
     return Frame(atoms, mode, cap=cap, explicit=positions, generators=generators or ())
 
 
-def _canonical_position_order(frame: Frame):
-    if frame.mode == "set":
-        n = frame.n
-        return lambda p: sum(c << i for i, c in enumerate(p.left + p.right))
-    return lambda p: (p.degree, p.left + p.right)
-
-
 def serialize_frame(frame: Frame) -> str:
     """Emit canonical frame-file text; round-trips through parse_frame."""
     out = [f"atoms = {' '.join(frame.atoms.names)}", f"mode = {frame.mode}"]
@@ -654,7 +649,7 @@ def serialize_frame(frame: Frame) -> str:
         names = [g for g in GENERATOR_NAMES if g in frame.generators]
         out.append(f"generators {{ {' '.join(names)} }}")
     out.append("incoherent {")
-    for p in sorted(frame.explicit, key=_canonical_position_order(frame)):
+    for p in sorted(frame.explicit, key=frame.order_key):
         out.append(f"  {p.render(frame.atoms)}")
     out.append("}")
     return "\n".join(out) + "\n"

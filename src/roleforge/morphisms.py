@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .frames import Frame, FrameError, ModeMismatchError, Position, Verdict
-from .rsr import closure_mask
+from .rsr import closure_mask, kernel_window
 
 
 class FrameMorphism:
@@ -203,6 +203,8 @@ def continuity_condition3(m: FrameMorphism) -> Verdict:
 
 def check_continuous(m: FrameMorphism) -> Verdict:
     """Full morphism validity: incoherence preservation plus continuity."""
+    # Continuity needs the source's kernel: refuse an oversized source first.
+    kernel_window(m.source)
     pres = preserves_bot(m)
     if not pres.ok:
         return Verdict(False, {"bot_preservation": pres.witness}, pres.truncated)

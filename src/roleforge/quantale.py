@@ -47,8 +47,9 @@ class QuantaleOps:
         self._bottom_absorbing: Optional[bool] = None
         self.dropped_sums = 0
 
-        # rsr of the empty position's singleton is its principal blocker.
-        self.dualizer_mask = rsr_mask(frame, 1 << frame.empty_index())
+        # rsr of the empty position's singleton is its principal blocker;
+        # the empty position is window index 0 in both modes.
+        self.dualizer_mask = rsr_mask(frame, 1)
         self.unit_mask = rsr_mask(frame, self.dualizer_mask)
 
     @property

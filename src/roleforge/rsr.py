@@ -196,16 +196,22 @@ class _MultisetKernel:
 _Kernel = Union[_SetKernel, _MultisetKernel]
 
 
+def kernel_window(frame: Frame) -> int:
+    """The size of the window the frame's kernel serves, read without
+    building the window; raises if it is too large for the kernel."""
+    size = frame.window_cardinality()
+    if size > MAX_BLOCKER_WINDOW:
+        raise FrameError(
+            f"window of {size} positions is too large for principal blockers "
+            f"(limit {MAX_BLOCKER_WINDOW})"
+        )
+    return size
+
+
 def _cache(frame: Frame) -> _Kernel:
     if frame._rsr_cache is None:
-        size = frame.window_cardinality()
-        if size > MAX_BLOCKER_WINDOW:
-            raise FrameError(
-                f"window of {size} positions is too large for principal blockers "
-                f"(limit {MAX_BLOCKER_WINDOW})"
-            )
         kernel = _SetKernel if frame.mode == "set" else _MultisetKernel
-        frame._rsr_cache = kernel(frame, size)
+        frame._rsr_cache = kernel(frame, kernel_window(frame))
     return frame._rsr_cache
 
 
@@ -429,7 +435,5 @@ def role_lattice(frame: Frame, max_roles: int = DEFAULT_MAX_ROLES) -> RoleLattic
     for g in set(blocker_masks(frame)):
         closed |= {x & g for x in closed}
         if len(closed) > max_roles:
-            raise LatticeSizeError(
-                f"role lattice exceeds {max_roles} roles; raise max_roles to proceed"
-            )
+            raise LatticeSizeError(f"role lattice exceeds {max_roles} roles")
     return RoleLattice(frame, closed)

@@ -45,10 +45,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .formulas import (
     Atom, Bin, CLASSICAL_OPS, Formula, LINEAR_OPS, Neg, binary_ops, parse_formula,
 )
-from .frames import Frame, FrameError, ModeMismatchError, Position
+from .frames import Frame, FrameError, ModeMismatchError
 from .nmms import _desugar, _leaf_family
 from .quantale import IdempotenceError, QuantaleOps, quantale
-from .rsr import Role, blocker_masks, closure_mask, is_role
+from .rsr import Role, blocker_masks, closure, closure_mask, is_role
 
 CLAUSE_SETS = ("classical", "linear")
 
@@ -107,8 +107,8 @@ class Interpretation:
         if hit is None:
             frame = self.frame
             hit = (
-                _position_closure(frame, frame.position([name], [])),
-                _position_closure(frame, frame.position([], [name])),
+                closure(frame, [frame.position([name], [])]).mask,
+                closure(frame, [frame.position([], [name])]).mask,
             )
             self._eval_cache[key] = hit
         return hit
@@ -290,13 +290,6 @@ def interpretation(frame: Frame) -> Interpretation:
     frame's blocker kernel, which at 7 atoms takes tens of megabytes, so a
     caller that moves between frames keeps its own ``Interpretation``."""
     return Interpretation(frame)
-
-
-def _position_closure(frame: Frame, p: Position) -> int:
-    idx = frame.window_index(p)
-    if idx is None:
-        raise FrameError(f"position outside the window: {p.render(frame.atoms)}")
-    return closure_mask(frame, 1 << idx)
 
 
 # -- spec-level convenience functions ----------------------------------------

@@ -125,7 +125,7 @@ def random_position_subset(rng: random.Random, frame: Frame, density: float = 0.
     from .rsr import PositionSet
 
     mask = 0
-    for i in range(frame.window_size()):
+    for i in range(frame.window_cardinality()):
         if rng.random() < density:
             mask |= 1 << i
     return PositionSet(frame, mask)

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import re
+import time
 
 import pytest
 
@@ -141,13 +142,16 @@ def test_trace_shows_out_of_range_leaf(capsys):
     assert code == 1 and [c["verdict"] for c in children] == [None, False]
 
 
-@pytest.mark.parametrize("sequent, clauses, cap, message", [
-    ("x |- x", "classical", 61, "classical clauses require a set-mode frame"),
-    ("x |- x /\\ x", "linear", 62, "not part of the linear clause set"),
-])
-def test_entails_clause_error_builds_no_kernel(capsys, tmp_path, monkeypatch,
-                                               sequent, clauses, cap, message):
-    """Each case has its own cap: interpretations are shared between equal frames."""
+def _containment_frame(tmp_path, n: int) -> str:
+    names = " ".join(f"a{i}" for i in range(n))
+    path = tmp_path / f"c{n}.frame"
+    path.write_text(f"atoms = {names}\nmode = set\ngenerators {{ containment }}\n"
+                    "incoherent {\n  a0 |- a1\n}\n")
+    return str(path)
+
+
+def _recording_loads(monkeypatch) -> list:
+    """Every frame the CLI loads from now on, in load order."""
     cli = importlib.import_module("roleforge.cli")
     original, loaded = cli._load_frame, []
 
@@ -156,6 +160,18 @@ def test_entails_clause_error_builds_no_kernel(capsys, tmp_path, monkeypatch,
         return loaded[-1]
 
     monkeypatch.setattr(cli, "_load_frame", load)
+    return loaded
+
+
+@pytest.mark.parametrize("sequent, clauses, cap, message", [
+    ("x |- x", "classical", 61, "classical clauses require a set-mode frame"),
+    ("x |- x /\\ x", "linear", 62, "not part of the linear clause set"),
+])
+def test_entails_clause_error_builds_no_kernel(capsys, tmp_path, monkeypatch,
+                                               sequent, clauses, cap, message):
+    """Each case has its own cap: interpretations are shared between equal frames."""
+    cli = importlib.import_module("roleforge.cli")
+    loaded = _recording_loads(monkeypatch)
     path = tmp_path / "wide.frame"
     path.write_text(f"atoms = x\nmode = multiset\ncap = {cap}\n"
                     "generators { diagonal }\nincoherent {\n  x, x |- x\n}\n")
@@ -172,17 +188,9 @@ def test_classical_entails_builds_no_window_or_kernel(capsys, tmp_path, monkeypa
     entails answers past the kernel's 7 set-mode atoms and the window's 10,
     as nmms does."""
     cli = importlib.import_module("roleforge.cli")
-    original, loaded = cli._load_frame, []
-
-    def load(path):
-        loaded.append(original(path))
-        return loaded[-1]
-
-    monkeypatch.setattr(cli, "_load_frame", load)
+    loaded = _recording_loads(monkeypatch)
     names = [f"a{i}" for i in range(n)]
-    path = tmp_path / f"c{n}.frame"
-    path.write_text(f"atoms = {' '.join(names)}\nmode = set\n"
-                    "generators { containment }\nincoherent {\n  a0 |- a1\n}\n")
+    path = _containment_frame(tmp_path, n)
     rng = seeded(n)
     sequents = [((), ()), ((Atom("a0"),), (Atom("a1"),)), ((Atom("a1"),), (Atom("a0"),))]
     for _ in range(20):
@@ -192,7 +200,7 @@ def test_classical_entails_builds_no_window_or_kernel(capsys, tmp_path, monkeypa
             for _side in range(2)))
     verdicts = set()
     for lhs, rhs in sequents:
-        code, out, _ = run(capsys, "entails", str(path), render_sequent(lhs, rhs))
+        code, out, _ = run(capsys, "entails", path, render_sequent(lhs, rhs))
         want = decide(loaded[-1], FormulaSequent(lhs, rhs, "contractive"))
         assert (code, out) == (0 if want else 1, f"{str(want).lower()}\n"), (lhs, rhs)
         verdicts.add(want)
@@ -338,6 +346,46 @@ def test_window_limits_are_usage_errors(capsys, tmp_path):
         code, out, err = run(capsys, "rsr", str(big), "a |-")
         assert (code, out) == (2, "")
         assert "too large for principal blockers" in err
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("argv", [
+    ["lattice"], ["interp", "a0"], ["eval", "a0"],
+    ["entails", "a0 |- a0", "--clauses", "linear"],
+    ["check", "conservativity"], ["check", "gq-laws"],
+], ids=["lattice", "interp", "eval", "entails-linear", "conservativity", "gq-laws"])
+def test_kernel_commands_refuse_oversized_frames_before_the_window(
+        capsys, tmp_path, monkeypatch, argv, n):
+    """Past 7 set-mode atoms the kernel refuses the frame, and it does so
+    before any window is built."""
+    loaded = _recording_loads(monkeypatch)
+    path = _containment_frame(tmp_path, n)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "too large for principal blockers" in err
+    cli = importlib.import_module("roleforge.cli")
+    for frame in loaded + [cli.interpretation(loaded[0]).frame]:
+        assert frame._window is None
+
+
+@pytest.mark.parametrize("kind", ["continuous", "both"])
+def test_continuity_refuses_an_oversized_source_before_the_window(
+        capsys, tmp_path, monkeypatch, kind):
+    loaded = _recording_loads(monkeypatch)
+    source = _containment_frame(tmp_path, 8)
+    mapping = ",".join(f"a{i}->a" for i in range(8))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "morphism", source, GOLDEN, mapping, "--kind", kind)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "too large for principal blockers" in err
+    assert [f._window for f in loaded] == [None, None]
+
+
+def test_rsr_rejects_a_repeated_atom_in_a_set_mode_position(capsys):
+    code, out, err = run(capsys, "rsr", GOLDEN, "a, a |- b")
+    assert (code, out) == (2, "")
+    assert err == "roleforge: error: repeated atom on one side in set mode: 'a, a |- b'\n"
 
 
 def test_morphism_into_a_relation_too_large_to_compile(capsys, tmp_path):

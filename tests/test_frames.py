@@ -63,7 +63,7 @@ def test_parse_counting_file_matches_builder(counting_frame):
 def test_parse_empty_incoherent_block():
     f = parse_frame("atoms = a\nmode = set\nincoherent { }")
     assert f.explicit == frozenset()
-    assert f.window_size() == 4
+    assert len(f.window()) == 4
 
 
 @pytest.mark.parametrize(
@@ -81,6 +81,17 @@ def test_parse_empty_incoherent_block():
         ("atoms = a\nmode = set\nmode = set\nincoherent { }", "duplicate mode"),
         ("atoms = a\nfrobnicate = 1", "unrecognized directive"),
         ("atoms = a\nmode = multiset\ncap = 2\nincoherent {\n a,a,a,a,a |- \n}", "2*cap"),
+        ("atoms = a\natoms = b\nmode = set\nincoherent { }", "duplicate atoms"),
+        ("atoms = a\nmode = multiset\ncap = 2\ncap = 2\nincoherent { }", "duplicate cap"),
+        ("atoms = a\nmode = set\ngenerators { }\ngenerators { }\nincoherent { }",
+         "duplicate generators"),
+        ("atoms = a\nmode = set\nincoherent { }\nincoherent { }", "duplicate incoherent"),
+        ("atoms =\nmode = set\nincoherent { }", "expected 'atoms = name ...'"),
+        ("atoms = a\nmode = multiset\ncap = two\nincoherent { }", "expected 'cap = "),
+        ("atoms = a\nmode = set\ngenerators diagonal\nincoherent { }", "expected 'generators"),
+        ("atoms = a\nincoherent { }", "missing mode"),
+        ("atoms = a\nmode = set\nincoherent (", "expected '{' after 'incoherent'"),
+        ("atoms = a b\nmode = set\nincoherent {\n a, , b |-\n}", "empty atom between commas"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -93,6 +104,25 @@ def test_parse_error_carries_line_number():
     with pytest.raises(FrameSyntaxError) as err:
         parse_frame("atoms = a\nmode = set\nincoherent {\n a |- b\n}")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text, line, column, fragment",
+    [
+        ("# vocabulary\nmode = set\natoms = a a\nincoherent { }", 3, 1, "duplicate atom 'a'"),
+        ("mode = set\n  atoms = a 1b\nincoherent { }", 2, 3, "invalid atom identifier '1b'"),
+        ("mode = set\natoms = " + " ".join(f"a{i}" for i in range(17)) + "\nincoherent { }",
+         2, 1, "at most 16 atoms"),
+        ("atoms = a\nmode = multiset\ncap = 0\nincoherent { }", 3, 1,
+         "expected 'cap = <positive integer>'"),
+    ],
+    ids=["duplicate-atom", "invalid-atom", "atom-limit", "cap-zero"],
+)
+def test_directive_errors_name_their_line(text, line, column, fragment):
+    with pytest.raises(FrameSyntaxError) as err:
+        parse_frame(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert fragment in str(err.value)
 
 
 def test_set_mode_atom_limit():

@@ -103,7 +103,7 @@ def test_blocker_kernel_matches_naive_rsr(frame):
         assert blockers[i] == rsr_naive(frame, [p]).mask, p.render(frame.atoms)
     scan = sum(1 << i for i, p in enumerate(window) if frame.bot_member(p))
     assert frame.bot_window_mask() == scan
-    assert blockers[frame.empty_index()] == scan
+    assert blockers[window.index(pos(frame))] == scan
 
 
 @pytest.mark.parametrize("names", [("x",), ("x", "y")], ids=["1-atom", "2-atoms"])
@@ -262,7 +262,7 @@ def test_dualizer_is_a_role(golden_frame, counting_frame):
 
 
 def test_lattice_size_guard(golden_frame):
-    with pytest.raises(LatticeSizeError):
+    with pytest.raises(LatticeSizeError, match=r"^role lattice exceeds 3 roles$"):
         role_lattice(golden_frame, max_roles=3)
 
 
