@@ -39,7 +39,9 @@ from .suites import (
     robbins_suite, supraclassical_suite, supralinear_suite,
 )
 
-FORMATS = ("plain", "markdown", "csv", "json", "dot")
+FORMATS = ("plain", "json")
+# markdown, csv and dot change only lattice's tables.
+LATTICE_FORMATS = ("plain", "markdown", "csv", "json", "dot")
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -72,25 +74,6 @@ class Report:
         return "\n".join(self.lines)
 
 
-def _parse_position(frame: Frame, text: str) -> Position:
-    from .frames import _split_position_line
-
-    lhs, rhs = _split_position_line(text.strip(), 1, 1)
-    for name in lhs + rhs:
-        if name not in frame.atoms:
-            raise FrameError(f"unknown atom {name!r} in position {text!r}")
-    p = Position.of(frame.atoms, lhs, rhs)
-    if frame.mode == "set" and not p.is_setlike():
-        raise FrameError(f"repeated atom on one side in set mode: {text!r}")
-    frame._check_encodable(p)
-    return p
-
-
-def _parse_position_set(frame: Frame, text: str) -> list[Position]:
-    chunks = [c for c in text.split(";") if c.strip()]
-    return [_parse_position(frame, c) for c in chunks]
-
-
 def _load_frame(path: str) -> Frame:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_frame(fh.read())
@@ -111,7 +94,7 @@ class _Labels:
                 table = json.load(fh)
             for alias, position_texts in table.items():
                 ps = PositionSet.from_positions(
-                    frame, [_parse_position(frame, t) for t in position_texts]
+                    frame, [frame.parse_position(t) for t in position_texts]
                 )
                 self.by_mask[ps.mask] = alias
 
@@ -167,7 +150,7 @@ def _cmd_validate(args, frame: Frame) -> tuple[int, Report]:
         "window": frame.window_cardinality(),
         "reflexive": frame.is_reflexive().ok,
     }
-    if frame.mode == "set" and frame.window_cardinality() <= 1 << 16:
+    if frame.mode == "set":
         result["containment"] = frame.is_containment().ok
     return EXIT_OK, Report("check", result, [f"{k} = {v}" for k, v in result.items()])
 
@@ -197,7 +180,7 @@ def _stability_text(stable: bool) -> str:
 
 
 def _cmd_rsr(args, frame: Frame) -> tuple[int, Report]:
-    members = _parse_position_set(frame, args.positions)
+    members = [frame.parse_position(c) for c in args.positions.split(";") if c.strip()]
     out = rsr(frame, members)
     rendered = sorted(p.render(frame.atoms) for p in out.positions())
     report = Report("check", {"input": args.positions, "rsr": rendered},
@@ -388,11 +371,6 @@ def _cmd_check(args, frame: Frame) -> tuple[int, Report]:
 
 
 def _cmd_compare(args, frame: Frame) -> tuple[int, Report]:
-    if args.clauses != "classical":
-        raise FrameError(
-            "compare supports the contractive/classical pairing only; the rule "
-            "fragment has no sanctioned linear-clause reading"
-        )
     suite = compare_suite(
         frame, depth=args.depth, seed=args.seed, samples=args.samples
     )
@@ -527,8 +505,6 @@ def _compare_args(p):
     p.add_argument("--depth", type=_int_at_least(0), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_int_at_least(1), default=2000)
-    p.add_argument("--variant", choices=("contractive",), default="contractive")
-    p.add_argument("--clauses", choices=_CLAUSES, default="classical")
 
 
 def _morphism_args(p):
@@ -539,7 +515,8 @@ def _morphism_args(p):
 
 
 # name -> (handler, help text, function adding the command's arguments);
-# every command also takes --format.  Help lists the commands in this order.
+# every command also takes --format (see LATTICE_FORMATS).  Help lists the
+# commands in this order.
 COMMANDS = {
     "validate": (_cmd_validate, "parse a frame file and report its shape", _frame_args),
     "positions": (_cmd_positions, "list the window in canonical order", _frame_args),
@@ -578,7 +555,8 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         if named in (None, name):
             p = sub.add_parser(name, help=help_text)
             p.set_defaults(fn=fn)
-            p.add_argument("--format", choices=FORMATS, default="plain")
+            formats = LATTICE_FORMATS if name == "lattice" else FORMATS
+            p.add_argument("--format", choices=formats, default="plain")
             add_arguments(p)
     return parser
 

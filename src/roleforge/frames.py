@@ -288,6 +288,27 @@ class Frame:
                     f"count above 2*cap={bound} in {p.render(self.atoms)}"
                 )
 
+    def parse_position(self, text: str) -> Position:
+        """The position ``text`` names in frame-file syntax, e.g. ``a, a |- b``:
+        comma-separated atoms of this frame on each side of one ``|-``."""
+        body = text.strip()
+        if body.count("|-") != 1:
+            raise FrameError(f"expected exactly one '|-' in position {text!r}")
+        lhs, rhs = ([name.strip() for name in side.split(",")] if side.strip() else []
+                    for side in body.split("|-"))
+        names = lhs + rhs
+        if "" in names:
+            raise FrameError(f"empty atom between commas in position {text!r}")
+        for name in names:
+            if name not in self.atoms:
+                raise FrameError(f"unknown atom {name!r} in position {text!r}")
+        p = Position.of(self.atoms, lhs, rhs)
+        if self.mode == "multiset":
+            self._check_encodable(p)
+        elif not p.is_setlike():
+            raise FrameError(f"repeated atom on one side in set mode: {text!r}")
+        return p
+
     def position(self, left: Iterable[str] = (), right: Iterable[str] = ()) -> Position:
         """Position from atom name sequences; in set mode repetitions collapse."""
         p = Position.of(self.atoms, left, right)
@@ -308,8 +329,8 @@ class Frame:
         written out one position at a time.  ``bot_bits`` compiles the same
         relation into an int for the blocker kernel, the morphism checks and
         the conservativity suite, and ``bot_code`` decides set-mode codes
-        for classical consequence; NMMS leaves, the structural predicates
-        and the oracles decide positions here.
+        for classical consequence and containment; NMMS leaves,
+        ``is_reflexive`` and the oracles decide positions here.
 
         Works for any encodable position (counts up to ``2*cap`` in multiset
         mode), not just window positions, so sums of window positions are
@@ -500,9 +521,17 @@ class Frame:
         """
         if self.mode != "set":
             raise ModeMismatchError("containment is a set-mode predicate")
-        for p in self.window():
-            if p.has_overlap() and not self.bot_member(p):
-                return Verdict(False, p)
+        if "containment" in self.generators:
+            return Verdict(True)
+        # Codes in window order; a code whose right half is empty has no overlap.
+        n = self.n
+        for right in range(1, 1 << n):
+            for left in range(1 << n):
+                if left & right and not self.bot_code(left | right << n):
+                    return Verdict(False, Position(
+                        tuple(left >> i & 1 for i in range(n)),
+                        tuple(right >> i & 1 for i in range(n)),
+                    ))
         return Verdict(True)
 
 
@@ -511,26 +540,6 @@ class Frame:
 # ---------------------------------------------------------------------------
 
 _COMMENT_RE = re.compile(r"#.*")
-
-
-def _split_position_line(text: str, line_no: int, col0: int) -> tuple[list[str], list[str]]:
-    if text.count("|-") != 1:
-        raise FrameSyntaxError("expected exactly one '|-' in position", line_no, col0)
-    lhs, rhs = text.split("|-")
-
-    def side(chunk: str, offset: int) -> list[str]:
-        chunk = chunk.strip()
-        if not chunk:
-            return []
-        names = []
-        for token in chunk.split(","):
-            token = token.strip()
-            if not token:
-                raise FrameSyntaxError("empty atom between commas", line_no, col0 + offset)
-            names.append(token)
-        return names
-
-    return side(lhs, 0), side(rhs, text.index("|-") + 2)
 
 
 def parse_frame(text: str) -> Frame:
@@ -618,26 +627,18 @@ def parse_frame(text: str) -> Frame:
 
     try:
         # Checks the atom names, and their number against the set-mode limit.
-        atoms = Frame(atoms_names, mode, cap=cap).atoms
+        bare = Frame(atoms_names, mode, cap=cap)
     except FrameError as exc:
         raise FrameSyntaxError(str(exc), *atoms_at) from exc
 
     positions = []
     for text_line, line_no, col in incoherent or ():
-        lhs, rhs = _split_position_line(text_line, line_no, col)
-        for name in lhs + rhs:
-            if name not in atoms:
-                raise FrameSyntaxError(f"unknown atom {name!r} in incoherent position", line_no, col)
-        p = Position.of(atoms, lhs, rhs)
-        if mode == "set" and not p.is_setlike():
-            raise FrameSyntaxError("repeated atom on one side in set mode", line_no, col)
-        if mode == "multiset":
-            bound = 2 * cap
-            if any(c > bound for c in p.left + p.right):
-                raise FrameSyntaxError(f"multiplicity above 2*cap={bound}", line_no, col)
-        positions.append(p)
+        try:
+            positions.append(bare.parse_position(text_line))
+        except FrameError as exc:
+            raise FrameSyntaxError(str(exc), line_no, col) from exc
 
-    return Frame(atoms, mode, cap=cap, explicit=positions, generators=generators or ())
+    return Frame(bare.atoms, mode, cap=cap, explicit=positions, generators=generators or ())
 
 
 def serialize_frame(frame: Frame) -> str:

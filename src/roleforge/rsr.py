@@ -93,8 +93,8 @@ class _SetKernel:
     def closure_mask(self, mask: int) -> int:
         return self.rsr_mask(self.rsr_mask(mask))
 
-    def tensor_sums(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        # Both results are symmetric in A and B: loop over the smaller one.
+    def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+        # The sums are symmetric in A and B: loop over the smaller one.
         if a_mask.bit_count() > b_mask.bit_count():
             a_mask, b_mask = b_mask, a_mask
         with_bit, without_bit = self._with_bit, self._without_bit
@@ -107,10 +107,7 @@ class _SetKernel:
                 shifted = (shifted & with_bit[k]) | ((shifted & without_bit[k]) << low)
                 a ^= low
             sums |= shifted
-        return sums, 0
-
-    def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        return self.closure_mask(self.tensor_sums(a_mask, b_mask)[0]), 0
+        return self.closure_mask(sums), 0
 
 
 class _MultisetKernel:
@@ -184,10 +181,6 @@ class _MultisetKernel:
             dropped += (shifted & outside).bit_count()
         return sums & self._window_grid, dropped
 
-    def tensor_sums(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        sums, dropped = self._sum_grid(a_mask, b_mask)
-        return self._from_grid(sums), dropped
-
     def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
         sums, dropped = self._sum_grid(a_mask, b_mask)
         return self._from_grid(self._meet(_iter_bits(self._meet(_iter_bits(sums))))), dropped
@@ -226,15 +219,9 @@ def full_mask(frame: Frame) -> int:
     return _cache(frame).full_mask
 
 
-def tensor_sums(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
-    """Pre-closure tensor sum set of two window masks, and the dropped-sum
-    count: how many of the |A|*|B| sums a + b left the window."""
-    return _cache(frame).tensor_sums(a_mask, b_mask)
-
-
 def tensor_closure(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
     """The tensor of two window masks, ``closure(A + B)``, and the dropped-sum
-    count of ``tensor_sums``."""
+    count: how many of the |A|*|B| sums a + b left the window."""
     return _cache(frame).tensor_closure(a_mask, b_mask)
 
 

@@ -289,9 +289,42 @@ def test_compare_depth_zero_atomic(capsys):
 
 
 def test_compare_rejects_linear_clauses(capsys):
-    code, _, err = run(capsys, "compare", GOLDEN, "--clauses", "linear")
-    assert code == 2
-    assert "linear" in err
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", GOLDEN, "--clauses", "linear"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --clauses linear" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--variant", "contractive"], ["--clauses", "classical"]])
+def test_compare_takes_no_variant_or_clauses(capsys, option):
+    """compare pairs contractive NMMS with classical clauses only, so it
+    offers no option to choose either."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", GOLDEN, "--depth", "0", *option])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# A valid invocation of every command but lattice, after the command name.
+VALID_ARGS = {
+    "validate": [GOLDEN], "positions": [GOLDEN], "rsr": [GOLDEN, "a |-"],
+    "interp": [GOLDEN, "a"], "eval": [GOLDEN, "a"], "entails": [GOLDEN, "a |- a"],
+    "nmms": [GOLDEN, "a |- a"], "trace": [GOLDEN, "a |- a"],
+    "check": [GOLDEN, "reflexive"], "compare": [GOLDEN, "--depth", "0"],
+    "morphism": [GOLDEN, GOLDEN, "a->a,b->b"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "dot"])
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "lattice"])
+def test_table_formats_are_lattice_only(capsys, command, fmt):
+    """Only lattice's tables read markdown, csv and dot; every other
+    command would print its plain lines under them."""
+    assert set(VALID_ARGS) | {"lattice"} == set(COMMANDS)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *VALID_ARGS[command], "--format", fmt])
+    assert exit_.value.code == 2
+    assert "argument --format: invalid choice" in capsys.readouterr().err
 
 
 def test_morphism_command(capsys, tmp_path):
@@ -368,6 +401,29 @@ def test_kernel_commands_refuse_oversized_frames_before_the_window(
         assert frame._window is None
 
 
+@pytest.mark.parametrize("n", [10, 16])
+@pytest.mark.parametrize("generators, verdict, witness", [
+    ("containment", True, None),
+    ("diagonal", False, "a0, a1 |- a0"),
+])
+def test_containment_is_decided_without_the_window(
+        capsys, tmp_path, monkeypatch, n, generators, verdict, witness):
+    """Set-mode containment reads position codes, so check containment
+    and validate answer at every set-mode size."""
+    loaded = _recording_loads(monkeypatch)
+    path = tmp_path / f"{generators}{n}.frame"
+    path.write_text(f"atoms = {' '.join(f'a{i}' for i in range(n))}\nmode = set\n"
+                    f"generators {{ {generators} }}\nincoherent {{\n  a0 |- a1\n}}\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path), "containment", "--format", "json")
+    assert json.loads(out)["result"] == {"containment": verdict, "witness": witness}
+    assert code == (0 if verdict else 3)
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["containment"] is verdict
+    assert time.perf_counter() - start < 1
+    assert [f._window for f in loaded] == [None, None]
+
+
 @pytest.mark.parametrize("kind", ["continuous", "both"])
 def test_continuity_refuses_an_oversized_source_before_the_window(
         capsys, tmp_path, monkeypatch, kind):
@@ -380,6 +436,23 @@ def test_continuity_refuses_an_oversized_source_before_the_window(
     assert (code, out) == (2, "")
     assert "too large for principal blockers" in err
     assert [f._window for f in loaded] == [None, None]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a |- |- b", "expected exactly one '|-' in position 'a |- |- b'"),
+    ("a |- b; a, , b |-", "empty atom between commas in position ' a, , b |-'"),
+])
+def test_rsr_position_errors_name_the_position_not_a_line(capsys, text, message):
+    code, out, err = run(capsys, "rsr", GOLDEN, text)
+    assert (code, out, err) == (2, "", f"roleforge: error: {message}\n")
+
+
+def test_labels_file_positions_use_the_frame_reader(capsys, tmp_path):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"Bad": ["a |- |- b"]}))
+    code, out, err = run(capsys, "interp", GOLDEN, "a", "--labels", str(labels))
+    assert (code, out) == (2, "")
+    assert err == "roleforge: error: expected exactly one '|-' in position 'a |- |- b'\n"
 
 
 def test_rsr_rejects_a_repeated_atom_in_a_set_mode_position(capsys):

@@ -1,13 +1,14 @@
 """Every command's output pinned byte for byte.
 
-Every case runs ``roleforge`` in-process from the repository root and
-compares its standard output, standard error and exit code with the capture
-stored in ``tests/data/cli_commands.json``.  The cases cover each command in
-plain and JSON form, ``--cap-stability`` on multiset frames (a changed
-extension included), a morphism verdict truncated at the target's range, and the usage
-errors a handler raises (exit 2).  ``tests/test_cli_pinned.py`` pins the
-commands that read the role lattice, ``tests/test_cli_help.py`` help and
-argument errors.
+Every case runs ``roleforge`` in-process from the repository root, at a
+terminal width of 80 columns, and compares its standard output, standard
+error and exit code with the capture stored in
+``tests/data/cli_commands.json``.  The cases cover each command in plain and
+JSON form, ``--cap-stability`` on multiset frames (a changed extension
+included), a morphism verdict truncated at the target's range, and usage
+errors (exit 2): those a handler raises, and one from argparse.
+``tests/test_cli_pinned.py`` pins the commands that read the role lattice,
+``tests/test_cli_help.py`` help and argument errors.
 
 To capture them afresh (only when a change is meant to alter the output):
 
@@ -110,6 +111,7 @@ COMMANDS = {
     "error-unknown-atom-trace": ["trace", NONMONOTONIC, "a |- z"],
     "error-classical-multiset-eval": ["eval", NONTRANSITIVE, "x /\\ x"],
     "error-classical-multiset-entails": ["entails", NONTRANSITIVE, "x |- x"],
+    # compare has no --clauses option: an argparse error, exit 2.
     "error-compare-linear": ["compare", NONMONOTONIC, "--clauses", "linear"],
     "error-cap-stability-set": ["check", NONMONOTONIC, "cap-stability"],
     "error-containment-multiset": ["check", NONTRANSITIVE, "containment"],
@@ -138,12 +140,16 @@ def run_case(argv):
     interpretation.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_command_is_pinned(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(REPO)
     expected = json.loads(CAPTURES.read_text(encoding="utf-8"))[name]
     assert run_case(CASES[name]) == expected
@@ -157,6 +163,7 @@ def test_captures_cover_every_command():
 
 
 def capture():
+    os.environ["COLUMNS"] = "80"
     os.chdir(REPO)
     captures = {name: run_case(argv) for name, argv in CASES.items()}
     CAPTURES.write_text(json.dumps(captures, indent=1, sort_keys=True) + "\n",

@@ -125,6 +125,36 @@ def test_directive_errors_name_their_line(text, line, column, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "mode, position, fragment",
+    [
+        ("set", "a |- q", "unknown atom 'q'"),
+        ("set", "a, a |-", "repeated atom"),
+        ("set", "a |- a |- a", "exactly one '|-'"),
+        ("multiset", "a,a,a,a,a |-", "2*cap"),
+        ("set", "a, , a |-", "empty atom between commas"),
+    ],
+)
+def test_position_errors_read_the_same_in_a_frame_file_and_alone(mode, position, fragment):
+    """One reader parses positions: a frame file reports its error at the
+    position's line, and ``Frame.parse_position`` the same message with no line."""
+    cap = "cap = 2\n" if mode == "multiset" else ""
+    with pytest.raises(FrameSyntaxError) as in_file:
+        parse_frame(f"atoms = a\nmode = {mode}\n{cap}incoherent {{\n  {position}\n}}")
+    assert (in_file.value.line, in_file.value.column) == (5 if cap else 4, 3)
+    with pytest.raises(FrameError) as alone:
+        Frame(("a",), mode, cap=2 if cap else None).parse_position(position)
+    message = str(alone.value)
+    assert fragment in message and not message.startswith("line ")
+    assert str(in_file.value) == f"line {in_file.value.line}, column 3: {message}"
+
+
+def test_parse_position_reads_frame_file_syntax():
+    f = Frame(("a", "b"), "multiset", cap=2)
+    assert f.parse_position("  a, a |- b ") == pos(f, ("a", "a"), ("b",))
+    assert f.parse_position("|-") == pos(f)
+
+
 def test_set_mode_atom_limit():
     names = tuple(f"a{i}" for i in range(17))
     with pytest.raises(FrameError):
@@ -263,6 +293,38 @@ def test_is_containment_failures_and_generator():
     assert gen.is_containment().ok
     with pytest.raises(ModeMismatchError):
         Frame(("x",), "multiset", cap=2).is_containment()
+
+
+def _containment_by_window(f):
+    """``is_containment`` by its definition: a walk over the window."""
+    for p in f.window():
+        if p.has_overlap() and not f.bot_member(p):
+            return (False, p)
+    return (True, None)
+
+
+def _containment_frames():
+    from roleforge.suites import random_set_frame
+
+    rng = seeded(77)
+    frames = list(all_one_atom_set_frames())
+    for names in (("a", "b"), ("a", "b", "c")):
+        for density in (0.2, 0.5, 0.8):
+            for forced in (False, True):
+                for _ in range(3):
+                    frames.append(random_set_frame(rng, names, density=density,
+                                                   containment=forced))
+    return [Frame(f.atoms, "set", explicit=f.explicit, generators=gens)
+            for f in frames
+            for gens in ((), ("diagonal",), ("reflexivity",), ("containment",))]
+
+
+def test_is_containment_matches_the_window_walk():
+    frames = _containment_frames()
+    verdicts = [tuple(f.is_containment()[:2]) for f in frames]
+    assert all(f._window is None for f in frames)
+    assert verdicts == [_containment_by_window(f) for f in frames]
+    assert {ok for ok, _ in verdicts} == {True, False}
 
 
 def test_containment_implies_reflexive(seed=13):

@@ -4,7 +4,7 @@ from roleforge.frames import Frame, parse_frame
 from roleforge.quantale import IdempotenceError, check_gq_laws, is_join_idempotent, quantale
 from roleforge.rsr import (
     LatticeSizeError, PositionSet, Role, closure_mask, is_role, role_lattice, rsr_mask,
-    tensor_closure, tensor_sums,
+    tensor_closure,
 )
 from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
@@ -328,7 +328,6 @@ def test_tensor_sums_match_per_pair_sums(frame):
     ]
     for a, b in pairs:
         sums, dropped = reference_tensor_sums(frame, a, b)
-        assert tensor_sums(frame, a, b) == (sums, dropped)
         assert tensor_closure(frame, a, b) == (closure_mask(frame, sums), dropped)
 
 
