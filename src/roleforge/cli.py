@@ -92,6 +92,14 @@ class _Labels:
         if labels_path:
             with open(labels_path, "r", encoding="utf-8") as fh:
                 table = json.load(fh)
+            if not (isinstance(table, dict) and all(
+                isinstance(texts, list) and all(isinstance(t, str) for t in texts)
+                for texts in table.values()
+            )):
+                raise FrameError(
+                    f"labels file {labels_path}: expected a JSON object mapping "
+                    "each alias to a list of position strings"
+                )
             for alias, position_texts in table.items():
                 ps = PositionSet.from_positions(
                     frame, [frame.parse_position(t) for t in position_texts]

@@ -24,8 +24,11 @@ built on first use:
   blockers follow from one pass over the codes in increasing order:
   ``c = blk[p ^ low] & M_k; blk[p] = c | (c >> low)``, starting from
   ``blk[0]``, the window part of the relation (``Frame.bot_bits()``).
-  The kernel stores them and meets them for rsr.  Adding a position to
-  every member of a mask is one such step per bit of the position.
+  The kernel stores them and meets them for rsr.  The tensor forms no
+  sums: ``rsr(A + B)`` is the set of c with ``c + g`` in ``rsr(B)`` for
+  every g of a generating set of A (members whose closure holds A), and
+  translating ``rsr(B)`` down by g is one such step per bit of g.  The
+  tensor is rsr of the meet of those translates.
 * multiset mode -- a position's grid code is ``sum_k q_k * (2cap+1)^k`` over
   its 2n counts (``Frame.position_codes``).  Sums of window positions have
   counts up to ``2*cap``, so codes add without carries and adding a
@@ -59,9 +62,9 @@ class LatticeSizeError(FrameError):
 
 
 class _SetKernel:
-    """Set-mode kernel: every ``p^bot``, stored, and the tensor's sum sets."""
+    """Set-mode kernel: every ``p^bot``, stored, and the tensor by residuation."""
 
-    __slots__ = ("blockers", "full_mask", "_with_bit", "_without_bit")
+    __slots__ = ("blockers", "full_mask", "_with_bit", "_generated")
 
     def __init__(self, frame: Frame, size: int):
         self.full_mask = (1 << size) - 1
@@ -74,7 +77,7 @@ class _SetKernel:
                 period *= 2
             with_bit.append(mask)
         self._with_bit = with_bit
-        self._without_bit = [self.full_mask ^ m for m in with_bit]
+        self._generated: dict[int, tuple[int, tuple[int, ...]]] = {}
         blockers = [frame.bot_window_mask()] * size
         for p in range(1, size):
             low = p & -p
@@ -93,21 +96,43 @@ class _SetKernel:
     def closure_mask(self, mask: int) -> int:
         return self.rsr_mask(self.rsr_mask(mask))
 
+    def _generators(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        """rsr of a mask and the members that strictly shrank the running
+        meet of blockers, ascending: their rsr is the mask's, so their
+        closure holds the mask."""
+        hit = self._generated.get(mask)
+        if hit is None:
+            out, blockers, kept = self.full_mask, self.blockers, []
+            for i in _iter_bits(mask):
+                met = out & blockers[i]
+                if met != out:
+                    kept.append(i)
+                    out = met
+                    if not out:
+                        break
+            hit = self._generated[mask] = (out, tuple(kept))
+        return hit
+
     def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        # The sums are symmetric in A and B: loop over the smaller one.
-        if a_mask.bit_count() > b_mask.bit_count():
-            a_mask, b_mask = b_mask, a_mask
-        with_bit, without_bit = self._with_bit, self._without_bit
-        sums = 0
-        for a in _iter_bits(a_mask):
-            shifted = b_mask
-            while a:
-                low = a & -a
-                k = low.bit_length() - 1
-                shifted = (shifted & with_bit[k]) | ((shifted & without_bit[k]) << low)
-                a ^= low
-            sums |= shifted
-        return self.closure_mask(sums), 0
+        # rsr(A + B) = {c : c + g in rsr(B) for every g in G} for any G whose
+        # closure holds A: for each c, {a : c + a in rsr(B)} = rsr(c + B) is
+        # closed.  Meet rsr(B) translated down by each generator of the side
+        # with fewer of them; the tensor is rsr of that meet.
+        rsr_a, gens_a = self._generators(a_mask)
+        rsr_b, gens_b = self._generators(b_mask)
+        gens, other = (gens_b, rsr_a) if len(gens_b) < len(gens_a) else (gens_a, rsr_b)
+        with_bit, meet = self._with_bit, self.full_mask
+        for g in gens:
+            n = other
+            while g:
+                low = g & -g
+                n &= with_bit[low.bit_length() - 1]
+                n |= n >> low
+                g ^= low
+            meet &= n
+            if not meet:
+                break
+        return self.rsr_mask(meet), 0
 
 
 class _MultisetKernel:

@@ -455,6 +455,26 @@ def test_labels_file_positions_use_the_frame_reader(capsys, tmp_path):
     assert err == "roleforge: error: expected exactly one '|-' in position 'a |- |- b'\n"
 
 
+@pytest.mark.parametrize("table", [{"X": [1]}, ["a |-"], {"X": "a |-"}],
+                         ids=["non-string-position", "list-not-object", "string-not-list"])
+def test_labels_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, table):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(table))
+    code, out, err = run(capsys, "interp", GOLDEN, "a", "--labels", str(labels))
+    assert (code, out) == (2, "")
+    assert err == (f"roleforge: error: labels file {labels}: expected a JSON object "
+                   "mapping each alias to a list of position strings\n")
+
+
+def test_conservativity_on_a_five_atom_frame(capsys, tmp_path):
+    """1024 atom-level sequents, each tensoring role contents over the
+    1024-position window."""
+    code, out, _ = run(capsys, "check", _containment_frame(tmp_path, 5), "conservativity",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"conservativity": {"checked": 1024, "violations": []}}
+
+
 def test_rsr_rejects_a_repeated_atom_in_a_set_mode_position(capsys):
     code, out, err = run(capsys, "rsr", GOLDEN, "a, a |- b")
     assert (code, out) == (2, "")

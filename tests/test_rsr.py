@@ -5,8 +5,8 @@ from roleforge.frames import Frame, FrameError, Position
 from roleforge.oracles import rsr_naive
 from roleforge.rsr import (
     MAX_BLOCKER_WINDOW, LatticeSizeError, PositionSet, Role, blocker_masks, closure,
-    _iter_bits, closure_mask, is_role, principal_blockers, role_lattice, rsr, rsr_mask,
-    tensor_closure,
+    _cache, _iter_bits, closure_mask, full_mask, is_role, principal_blockers, role_lattice,
+    rsr, rsr_mask, tensor_closure,
 )
 from roleforge.suites import all_one_atom_set_frames, random_position_subset, random_set_frame
 
@@ -128,6 +128,52 @@ def test_multiset_kernel_matches_naive(names, cap):
         sums, dropped = reference_tensor_sums(frame, a, b)
         assert tensor_closure(frame, a, b) == (naive_closure(sums), dropped)
     assert frame._rsr_cache._blockers is None
+
+
+def naive_tensor(frame, a_mask, b_mask):
+    """closure(A + B) from the per-pair sums, closed by rsr_naive twice."""
+    sums = PositionSet(frame, reference_tensor_sums(frame, a_mask, b_mask)[0])
+    return rsr_naive(frame, rsr_naive(frame, sums)).mask
+
+
+@pytest.mark.parametrize("frame", all_one_atom_set_frames(), ids=lambda f: f"bits-{f.bot_window_mask()}")
+def test_set_tensor_matches_per_pair_sums_on_one_atom_frames(frame):
+    """Every pair of the 16 masks over the 4-position window, closed or not."""
+    for a in range(16):
+        for b in range(16):
+            assert tensor_closure(frame, a, b) == (naive_tensor(frame, a, b), 0), (a, b)
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")], ids=["2-atoms", "3-atoms"])
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("containment", [False, True], ids=["free", "containment"])
+def test_set_tensor_matches_per_pair_sums_on_seeded_frames(names, density, containment):
+    rng = seeded(700 + 10 * len(names) + int(10 * density) + containment)
+    frame = random_set_frame(rng, names, density=density, containment=containment)
+    full = full_mask(frame)
+    sparse, medium, dense = (random_position_subset(rng, frame, d).mask for d in (0.05, 0.3, 0.8))
+    closed = [closure_mask(frame, m) for m in (sparse, medium)] + [rsr_mask(frame, dense)]
+    assert any(closure_mask(frame, m) != m for m in (sparse, medium, dense))
+    masks = [0, 1, full, sparse, medium, dense, frame.bot_window_mask()] + closed
+    for i, a in enumerate(masks):
+        for b in masks[i:]:
+            expected = naive_tensor(frame, a, b)
+            assert tensor_closure(frame, a, b) == (expected, 0), (a, b)
+            assert tensor_closure(frame, b, a) == (expected, 0), (b, a)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 10))
+def test_tensor_generators_keep_rsr(mask, frame_seed):
+    """The generators the set-mode tensor reads are members of the mask
+    with the mask's rsr, so their closure holds the mask."""
+    frame = random_set_frame(seeded(frame_seed), ("a", "b", "c"), containment=frame_seed % 2 == 1)
+    rsr_of, gens = _cache(frame)._generators(mask)
+    generated = sum(1 << g for g in gens)
+    assert list(gens) == sorted(set(gens))
+    assert generated | mask == mask
+    assert rsr_of == rsr_mask(frame, mask) == rsr_mask(frame, generated)
+    assert mask | closure_mask(frame, generated) == closure_mask(frame, generated)
 
 
 @pytest.mark.parametrize("frame", [
