@@ -36,7 +36,7 @@ from .rsr import PositionSet, kernel_window, rsr
 from .semantics import Content, interpretation
 from .suites import (
     cap_stability_suite, clause_agreement_suite, compare_suite, conservativity_suite,
-    robbins_suite, supraclassical_suite, supralinear_suite,
+    positions_within, robbins_suite, supraclassical_suite, supralinear_suite,
 )
 
 FORMATS = ("plain", "json")
@@ -168,38 +168,12 @@ def _cmd_positions(args, frame: Frame) -> tuple[int, Report]:
     return EXIT_OK, Report("check", rendered, rendered)
 
 
-def _stability_note(frame: Frame, small, big) -> dict:
-    """Diff an extension at the frame's cap with the same extension
-    recomputed at cap+2, on the frame's window."""
-    from .suites import positions_within
-
-    small = frozenset(small)
-    big = positions_within(frame, big)
-    return {
-        "stable": small == big,
-        "recheck_cap": frame.cap + 2,
-        "only_at_cap": sorted(p.render(frame.atoms) for p in small - big),
-        "only_at_recheck": sorted(p.render(frame.atoms) for p in big - small),
-    }
-
-
-def _stability_text(stable: bool) -> str:
-    return "no changes" if stable else "CHANGED"
-
-
 def _cmd_rsr(args, frame: Frame) -> tuple[int, Report]:
     members = [frame.parse_position(c) for c in args.positions.split(";") if c.strip()]
     out = rsr(frame, members)
     rendered = sorted(p.render(frame.atoms) for p in out.positions())
-    report = Report("check", {"input": args.positions, "rsr": rendered},
-                    [_positions_text(frame, out)])
-    if args.cap_stability and frame.mode == "multiset":
-        wide = rsr(frame.with_cap(frame.cap + 2), members)
-        note = _stability_note(frame, out.positions(), wide.positions())
-        report.result["stability"] = note
-        report.lines.append(f"stability at cap {note['recheck_cap']}: "
-                            + _stability_text(note["stable"]))
-    return EXIT_OK, report
+    return EXIT_OK, Report("check", {"input": args.positions, "rsr": rendered},
+                           [_positions_text(frame, out)])
 
 
 def _cmd_lattice(args, frame: Frame) -> tuple[int, Report]:
@@ -262,6 +236,19 @@ def _hasse_dot(lattice, aliases: list[str]) -> list[str]:
 _SIDES = ("premisory", "conclusory")
 
 
+def _stability_note(frame: Frame, small, big) -> dict:
+    """Diff an extension at the frame's cap with the same extension
+    recomputed at cap+2, on the frame's window."""
+    small = frozenset(small)
+    big = positions_within(frame, big)
+    return {
+        "stable": small == big,
+        "recheck_cap": frame.cap + 2,
+        "only_at_cap": sorted(p.render(frame.atoms) for p in small - big),
+        "only_at_recheck": sorted(p.render(frame.atoms) for p in big - small),
+    }
+
+
 def _content_report(args, frame: Frame, head: dict,
                     content_of: Callable[[Frame], Content]) -> tuple[int, Report]:
     """``interp`` and ``eval``: report the content ``content_of(frame)``
@@ -284,7 +271,7 @@ def _content_report(args, frame: Frame, head: dict,
                 for side in _SIDES}
         note["stable"] = all(note[side]["stable"] for side in _SIDES)
         result["stability"] = note
-        lines.append("stability: " + _stability_text(note["stable"]))
+        lines.append("stability: " + ("no changes" if note["stable"] else "CHANGED"))
     return EXIT_OK, Report("interp", result, lines)
 
 
@@ -399,6 +386,8 @@ def _cmd_morphism(args, _frame) -> tuple[int, Report]:
         if "->" not in chunk:
             raise FrameError(f"bad mapping entry {chunk!r}; expected 'atom->atom'")
         src, tgt = (part.strip() for part in chunk.split("->", 1))
+        if src in mapping:
+            raise FrameError(f"atom {src!r} is mapped twice")
         mapping[src] = tgt
     m = FrameMorphism(source, target, mapping)
     if args.kind == "both":
@@ -465,7 +454,6 @@ def _frame_args(p):
 def _rsr_args(p):
     p.add_argument("frame")
     p.add_argument("positions", help="semicolon-separated positions, e.g. 'a |- b; |- a'")
-    p.add_argument("--cap-stability", action="store_true")
 
 
 def _lattice_args(p):

@@ -8,8 +8,7 @@ relation itself; the unit is the closure of the empty position's singleton.
 
 The tensor, rsr and closure come from the per-frame kernel in ``rsr``.  In
 multiset mode all of this is window-relative: position sums that leave the
-window are dropped from the pre-closure set (and counted, so reports can
-say whether truncation actually occurred).
+window are dropped from the pre-closure set.
 
 A role is its closed mask, and every operation takes and returns closed
 masks: ``tensor_mask``, ``join_mask`` and ``neg_mask`` are memoized by mask
@@ -45,7 +44,6 @@ class QuantaleOps:
         self._join_masks: dict[tuple[int, int], int] = {}
         self._neg_masks: dict[int, int] = {}
         self._bottom_absorbing: Optional[bool] = None
-        self.dropped_sums = 0
 
         # rsr of the empty position's singleton is its principal blocker;
         # the empty position is window index 0 in both modes.
@@ -66,9 +64,7 @@ class QuantaleOps:
         key = (a, b) if a <= b else (b, a)
         hit = self._tensor_masks.get(key)
         if hit is None:
-            hit, dropped = tensor_closure(self.frame, a, b)
-            self.dropped_sums += dropped
-            self._tensor_masks[key] = hit
+            hit = self._tensor_masks[key] = tensor_closure(self.frame, a, b)
         return hit
 
     def join_mask(self, a: int, b: int) -> int:

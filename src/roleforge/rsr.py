@@ -37,10 +37,10 @@ built on first use:
   ``bot_bits >> code(p)`` masked to the window codes.  rsr ANDs those
   shifts over the members of a mask; closure runs rsr again over the bits
   of that grid mask; the tensor shifts the grid image of one role by each
-  member of the other, drops and counts the sums that leave the window,
-  and closes them on the grid.  Each converts to a window mask once, at
-  the end.  The blocker list, each ``p^bot`` gathered at the window codes,
-  is built only when ``blocker_masks`` reads it (``principal_blockers``,
+  member of the other, drops the sums that leave the window, and closes
+  the rest on the grid.  Each converts to a window mask once, at the end.
+  The blocker list, each ``p^bot`` gathered at the window codes, is built
+  only when ``blocker_masks`` reads it (``principal_blockers``,
   ``role_lattice``).
 """
 
@@ -113,7 +113,7 @@ class _SetKernel:
             hit = self._generated[mask] = (out, tuple(kept))
         return hit
 
-    def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
+    def tensor_closure(self, a_mask: int, b_mask: int) -> int:
         # rsr(A + B) = {c : c + g in rsr(B) for every g in G} for any G whose
         # closure holds A: for each c, {a : c + a in rsr(B)} = rsr(c + B) is
         # closed.  Meet rsr(B) translated down by each generator of the side
@@ -132,14 +132,14 @@ class _SetKernel:
             meet &= n
             if not meet:
                 break
-        return self.rsr_mask(meet), 0
+        return self.rsr_mask(meet)
 
 
 class _MultisetKernel:
     """Multiset-mode kernel on grid codes; ``p^bot`` is read off the relation."""
 
     __slots__ = ("full_mask", "_bot", "_codes", "_grid_bits", "_window_grid",
-                 "_outside", "_gather", "_scatter", "_blockers")
+                 "_gather", "_scatter", "_blockers")
 
     def __init__(self, frame: Frame, size: int):
         self.full_mask = (1 << size) - 1
@@ -156,7 +156,6 @@ class _MultisetKernel:
         self._grid_bits = grid_bits
         self._bot = frame.bot_bits()
         self._window_grid = self._to_grid(self.full_mask)
-        self._outside = ((1 << grid_bits) - 1) ^ self._window_grid
         self._blockers = None
 
     @property
@@ -193,22 +192,15 @@ class _MultisetKernel:
     def closure_mask(self, mask: int) -> int:
         return self._from_grid(self._meet(_iter_bits(self._rsr_grid(mask))))
 
-    def _sum_grid(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        """Grid mask of the window sums a + b, and how many sums left the window."""
+    def tensor_closure(self, a_mask: int, b_mask: int) -> int:
+        # Shift the grid image of the larger side by each member of the smaller.
         if a_mask.bit_count() > b_mask.bit_count():
             a_mask, b_mask = b_mask, a_mask
-        codes, outside = self._codes, self._outside
-        b_grid = self._to_grid(b_mask)
-        sums = dropped = 0
+        codes, b_grid, sums = self._codes, self._to_grid(b_mask), 0
         for a in _iter_bits(a_mask):
-            shifted = b_grid << codes[a]
-            sums |= shifted
-            dropped += (shifted & outside).bit_count()
-        return sums & self._window_grid, dropped
-
-    def tensor_closure(self, a_mask: int, b_mask: int) -> tuple[int, int]:
-        sums, dropped = self._sum_grid(a_mask, b_mask)
-        return self._from_grid(self._meet(_iter_bits(self._meet(_iter_bits(sums))))), dropped
+            sums |= b_grid << codes[a]
+        sums &= self._window_grid
+        return self._from_grid(self._meet(_iter_bits(self._meet(_iter_bits(sums)))))
 
 
 _Kernel = Union[_SetKernel, _MultisetKernel]
@@ -244,9 +236,9 @@ def full_mask(frame: Frame) -> int:
     return _cache(frame).full_mask
 
 
-def tensor_closure(frame: Frame, a_mask: int, b_mask: int) -> tuple[int, int]:
-    """The tensor of two window masks, ``closure(A + B)``, and the dropped-sum
-    count: how many of the |A|*|B| sums a + b left the window."""
+def tensor_closure(frame: Frame, a_mask: int, b_mask: int) -> int:
+    """The tensor of two window masks, ``closure(A + B)``.  In multiset mode
+    the sums a + b that leave the window are dropped before closing."""
     return _cache(frame).tensor_closure(a_mask, b_mask)
 
 

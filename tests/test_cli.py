@@ -55,10 +55,15 @@ def test_rsr_command(capsys):
     assert len(rendered) == 12 and "a |- a" in rendered
 
 
-def test_rsr_cap_stability(capsys):
-    code, out, _ = run(capsys, "rsr", COUNTING, "|- x", "--cap-stability")
-    assert code == 0
-    assert "no changes" in out
+def test_rsr_takes_no_cap_stability_option(capsys):
+    """rsr of window positions cannot change at a wider cap (see
+    test_rsr.py::test_multiset_rsr_does_not_change_at_a_wider_cap)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rsr", COUNTING, "|- x", "--cap-stability"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --cap-stability\n")
 
 
 def test_lattice_plain_and_determinism(capsys):
@@ -210,7 +215,6 @@ def test_classical_entails_builds_no_window_or_kernel(capsys, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("argv", [
-    ["rsr", COUNTING, "|- x", "--cap-stability"],
     ["interp", COUNTING, "x", "--cap-stability"],
     ["eval", COUNTING, "x * ~x", "--clauses", "linear", "--cap-stability"],
 ])
@@ -338,6 +342,13 @@ def test_morphism_command(capsys, tmp_path):
     code, out, _ = run(capsys, "morphism", GOLDEN, GOLDEN, "a->a,b->b")
     assert code == 0
     assert "conservative" in out and "continuous" in out
+
+
+def test_morphism_refuses_an_atom_mapped_twice(capsys):
+    code, out, err = run(capsys, "morphism", GOLDEN, GOLDEN, "a->a,a->b,b->b",
+                         "--kind", "conservative")
+    assert (code, out) == (2, "")
+    assert err == "roleforge: error: atom 'a' is mapped twice\n"
 
 
 def test_usage_errors(capsys):
@@ -530,7 +541,7 @@ NARROWING_COMMON = ([], ["--help"], ["--format", "xml"], ["--bogus"], [GOLDEN, "
 NARROWING_CASES = {
     "validate": [[GOLDEN], [GOLDEN, "--format", "json"], [GOLDEN, "surplus"]],
     "positions": [[GOLDEN, "--format", "csv"], [GOLDEN, "--labels", "l.json"]],
-    "rsr": [[GOLDEN, "a |-", "--cap-stability"], [GOLDEN]],
+    "rsr": [[GOLDEN, "a |-", "--format", "json"], [GOLDEN]],
     "lattice": [[GOLDEN, "--labels", "l.json", "--format", "dot"], [GOLDEN, "--labels"]],
     "interp": [[GOLDEN, "a", "--labels", "l.json", "--cap-stability"], [GOLDEN, "a", "b"]],
     "eval": [[GOLDEN, "a", "--clauses", "linear", "--labels", "l.json"],

@@ -4,9 +4,10 @@ Every case runs ``roleforge`` in-process from the repository root, at a
 terminal width of 80 columns, and compares its standard output, standard
 error and exit code with the capture stored in
 ``tests/data/cli_commands.json``.  The cases cover each command in plain and
-JSON form, ``--cap-stability`` on multiset frames (a changed extension
-included), a morphism verdict truncated at the target's range, and usage
-errors (exit 2): those a handler raises, and one from argparse.
+JSON form, ``interp`` and ``eval --cap-stability`` on multiset frames (a
+changed extension included), a morphism verdict truncated at the target's
+range, and usage errors (exit 2): those a handler raises, and one from
+argparse.
 ``tests/test_cli_pinned.py`` pins the commands that read the role lattice,
 ``tests/test_cli_help.py`` help and argument errors.
 
@@ -49,10 +50,9 @@ COMMANDS = {
     "rsr-nonmonotonic": ["rsr", NONMONOTONIC, "a |-"],
     "rsr-containment3": ["rsr", CONTAINMENT3, "a |- b; |- c"],
     "rsr-nontransitive": ["rsr", NONTRANSITIVE, "|- x"],
-    "rsr-nontransitive-stability": ["rsr", NONTRANSITIVE, "x |- x", "--cap-stability"],
-    "rsr-nontransitive-stability-edge": [
-        "rsr", NONTRANSITIVE, "x, x, x, x, x, x, x |-", "--cap-stability"],
-    "rsr-nonmonotonic-stability": ["rsr", NONMONOTONIC, "a |-", "--cap-stability"],
+    "rsr-nontransitive-two-sided": ["rsr", NONTRANSITIVE, "x |- x"],
+    # Its rsr holds positions on the edge of the cap-8 window (a count of 8).
+    "rsr-nontransitive-window-edge": ["rsr", NONTRANSITIVE, "x, x, x, x, x, x, x |-"],
     "lattice-labels": ["lattice", NONMONOTONIC, "--labels", LABELS],
     "interp-labels": ["interp", NONMONOTONIC, "a", "--labels", LABELS],
     "eval-labels": ["eval", NONMONOTONIC, "a /\\ ~a", "--labels", LABELS],

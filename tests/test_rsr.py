@@ -125,14 +125,31 @@ def test_multiset_kernel_matches_naive(names, cap):
         assert rsr_mask(frame, a) == rsr_naive(frame, PositionSet(frame, a)).mask
         assert closure_mask(frame, a) == naive_closure(a)
     for a, b in ((0, full), (full, 1), (sparse, full), (medium, dense), (dense, dense)):
-        sums, dropped = reference_tensor_sums(frame, a, b)
-        assert tensor_closure(frame, a, b) == (naive_closure(sums), dropped)
+        assert tensor_closure(frame, a, b) == naive_closure(reference_tensor_sums(frame, a, b))
     assert frame._rsr_cache._blockers is None
+
+
+@pytest.mark.parametrize("names, cap", [(("x",), cap) for cap in (1, 2, 3, 4)]
+                         + [(("x", "y"), cap) for cap in (1, 2, 3)])
+def test_multiset_rsr_does_not_change_at_a_wider_cap(names, cap):
+    """rsr of window positions reads the relation only at sums with counts
+    up to 2*cap, which every larger cap decides the same way: recomputed at
+    cap+2, it agrees with rsr at cap on the cap window."""
+    for k in range(20):
+        rng = seeded(1000 * cap + 100 * len(names) + k)
+        frame = random_multiset_frame(rng, names, cap)
+        wide = frame.with_cap(cap + 2)
+        embed = [wide.window_index(p) for p in frame.window()]
+        for density in (0.02, 0.1, 0.3):
+            a = random_position_subset(rng, frame, density).mask
+            wide_rsr = rsr_mask(wide, sum(1 << j for i, j in enumerate(embed) if a >> i & 1))
+            back = sum(1 << i for i, j in enumerate(embed) if wide_rsr >> j & 1)
+            assert back == rsr_mask(frame, a), (k, density)
 
 
 def naive_tensor(frame, a_mask, b_mask):
     """closure(A + B) from the per-pair sums, closed by rsr_naive twice."""
-    sums = PositionSet(frame, reference_tensor_sums(frame, a_mask, b_mask)[0])
+    sums = PositionSet(frame, reference_tensor_sums(frame, a_mask, b_mask))
     return rsr_naive(frame, rsr_naive(frame, sums)).mask
 
 
@@ -141,7 +158,7 @@ def test_set_tensor_matches_per_pair_sums_on_one_atom_frames(frame):
     """Every pair of the 16 masks over the 4-position window, closed or not."""
     for a in range(16):
         for b in range(16):
-            assert tensor_closure(frame, a, b) == (naive_tensor(frame, a, b), 0), (a, b)
+            assert tensor_closure(frame, a, b) == naive_tensor(frame, a, b), (a, b)
 
 
 @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")], ids=["2-atoms", "3-atoms"])
@@ -158,8 +175,8 @@ def test_set_tensor_matches_per_pair_sums_on_seeded_frames(names, density, conta
     for i, a in enumerate(masks):
         for b in masks[i:]:
             expected = naive_tensor(frame, a, b)
-            assert tensor_closure(frame, a, b) == (expected, 0), (a, b)
-            assert tensor_closure(frame, b, a) == (expected, 0), (b, a)
+            assert tensor_closure(frame, a, b) == expected, (a, b)
+            assert tensor_closure(frame, b, a) == expected, (b, a)
 
 
 @settings(max_examples=60)
