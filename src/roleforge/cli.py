@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -35,8 +36,9 @@ from .quantale import QuantaleOps, check_gq_laws, is_join_idempotent
 from .rsr import PositionSet, kernel_window, rsr
 from .semantics import Content, interpretation
 from .suites import (
-    cap_stability_suite, clause_agreement_suite, compare_suite, conservativity_suite,
-    positions_within, robbins_suite, supraclassical_suite, supralinear_suite,
+    RECHECK_DELTA, cap_stability_suite, clause_agreement_suite, compare_suite,
+    conservativity_suite, positions_within, robbins_suite, supraclassical_suite,
+    supralinear_suite,
 )
 
 FORMATS = ("plain", "json")
@@ -74,24 +76,31 @@ class Report:
         return "\n".join(self.lines)
 
 
+def _read(path: str, kind: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"{kind} file {path}: not UTF-8 (byte {exc.start})") from None
+
+
 def _load_frame(path: str) -> Frame:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_frame(fh.read())
+    return parse_frame(_read(path, "frame"))
 
 
 class _Labels:
     """Extension-stable display aliases for roles.
 
     A role without an alias is labeled ``R<i>`` by its rank in the role
-    lattice, which is enumerated the first time such a label is needed."""
+    lattice, which is enumerated the first time such a label is needed.  So
+    an alias may not read ``R<digits>``, and a role may have one alias."""
 
     def __init__(self, frame: Frame, q: QuantaleOps, labels_path: Optional[str]):
         self.frame = frame
         self.quantale = q
         self.by_mask: dict[int, str] = {}
         if labels_path:
-            with open(labels_path, "r", encoding="utf-8") as fh:
-                table = json.load(fh)
+            table = json.loads(_read(labels_path, "labels"))
             if not (isinstance(table, dict) and all(
                 isinstance(texts, list) and all(isinstance(t, str) for t in texts)
                 for texts in table.values()
@@ -101,9 +110,16 @@ class _Labels:
                     "each alias to a list of position strings"
                 )
             for alias, position_texts in table.items():
+                if re.fullmatch("R[0-9]+", alias):
+                    raise FrameError(f"labels file {labels_path}: alias {alias!r} "
+                                     "has the form of a rank label R<i>")
                 ps = PositionSet.from_positions(
                     frame, [frame.parse_position(t) for t in position_texts]
                 )
+                if ps.mask in self.by_mask:
+                    raise FrameError(f"labels file {labels_path}: aliases "
+                                     f"{self.by_mask[ps.mask]!r} and {alias!r} "
+                                     "name the same positions")
                 self.by_mask[ps.mask] = alias
 
     def alias(self, role) -> str:
@@ -238,12 +254,12 @@ _SIDES = ("premisory", "conclusory")
 
 def _stability_note(frame: Frame, small, big) -> dict:
     """Diff an extension at the frame's cap with the same extension
-    recomputed at cap+2, on the frame's window."""
+    recomputed at cap+RECHECK_DELTA, on the frame's window."""
     small = frozenset(small)
     big = positions_within(frame, big)
     return {
         "stable": small == big,
-        "recheck_cap": frame.cap + 2,
+        "recheck_cap": frame.cap + RECHECK_DELTA,
         "only_at_cap": sorted(p.render(frame.atoms) for p in small - big),
         "only_at_recheck": sorted(p.render(frame.atoms) for p in big - small),
     }
@@ -265,7 +281,7 @@ def _content_report(args, frame: Frame, head: dict,
         }
         lines.append(f"{side:<10} = {alias} {_positions_text(frame, role)}")
     if args.cap_stability and frame.mode == "multiset":
-        wide = content_of(frame.with_cap(frame.cap + 2))
+        wide = content_of(frame.with_cap(frame.cap + RECHECK_DELTA))
         note = {side: _stability_note(frame, getattr(c, side).positions(),
                                       getattr(wide, side).positions())
                 for side in _SIDES}

@@ -11,6 +11,10 @@ ASCII connectives, from tightest to loosest binding:
 
 All binary connectives are left-associative; parentheses override.
 Sequents are written ``f1, f2 |- g1, g2`` and either side may be empty.
+
+A formula tree may be at most ``MAX_DEPTH`` connectives deep, and its
+parentheses may nest at most ``MAX_DEPTH`` deep: evaluation, rendering and
+NMMS unfolding recurse once per level, and the parser once per parenthesis.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ _BIN_LEVELS = (
 )
 _LEVEL_OF = {op: lvl for lvl, table in enumerate(_BIN_LEVELS) for op in table.values()}
 
+MAX_DEPTH = 64
+
 
 def binary_ops(f: Formula) -> frozenset[str]:
     """All binary connective names occurring in the formula."""
@@ -83,15 +89,6 @@ def atoms_of(f: Formula) -> frozenset[str]:
         return atoms_of(f.sub)
     assert isinstance(f, Bin)
     return atoms_of(f.left) | atoms_of(f.right)
-
-
-def connective_count(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Neg):
-        return 1 + connective_count(f.sub)
-    assert isinstance(f, Bin)
-    return 1 + connective_count(f.left) + connective_count(f.right)
 
 
 def depth(f: Formula) -> int:
@@ -172,6 +169,12 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.parens = 0  # the '(' being read
+
+    def bounded(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", tok.pos)
+        return depth
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -186,49 +189,55 @@ class _Parser:
         if tok.kind != "sym" or tok.text != sym:
             raise FormulaSyntaxError(f"expected {sym!r}", tok.pos)
 
-    def formula(self, level: int = 0) -> Formula:
+    def formula(self, level: int = 0) -> tuple[Formula, int]:
+        """The formula read at binding ``level``, and its depth."""
         if level == len(_BIN_LEVELS):
             return self.unary()
         table = _BIN_LEVELS[level]
-        node = self.formula(level + 1)
+        node, depth = self.formula(level + 1)
         while self.peek().kind == "sym" and self.peek().text in table:
-            op = table[self.advance().text]
-            node = Bin(op, node, self.formula(level + 1))
-        return node
+            tok = self.advance()
+            right, right_depth = self.formula(level + 1)
+            node = Bin(table[tok.text], node, right)
+            depth = self.bounded(max(depth, right_depth) + 1, tok)
+        return node, depth
 
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "~":
-            self.advance()
-            return Neg(self.unary())
+    def unary(self) -> tuple[Formula, int]:
+        negations = []
+        while self.peek().kind == "sym" and self.peek().text == "~":
+            negations.append(self.advance())
+        tok = self.advance()
         if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            node = self.formula()
+            self.parens = self.bounded(self.parens + 1, tok)
+            node, depth = self.formula()
             self.expect_sym(")")
-            return node
-        if tok.kind == "ident":
-            self.advance()
-            return Atom(tok.text)
-        raise FormulaSyntaxError(
-            f"expected a formula, found {tok.text!r}" if tok.text else "unexpected end of input",
-            tok.pos,
-        )
+            self.parens -= 1
+        elif tok.kind == "ident":
+            node, depth = Atom(tok.text), 0
+        else:
+            raise FormulaSyntaxError(
+                f"expected a formula, found {tok.text!r}" if tok.text else "unexpected end of input",
+                tok.pos,
+            )
+        for neg in reversed(negations):
+            node, depth = Neg(node), self.bounded(depth + 1, neg)
+        return node, depth
 
     def formula_list(self, stop: str) -> tuple[Formula, ...]:
         out = []
         tok = self.peek()
         if tok.kind == "end" or (tok.kind == "sym" and tok.text == stop):
             return ()
-        out.append(self.formula())
+        out.append(self.formula()[0])
         while self.peek().kind == "sym" and self.peek().text == ",":
             self.advance()
-            out.append(self.formula())
+            out.append(self.formula()[0])
         return tuple(out)
 
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(_tokenize(text))
-    node = parser.formula()
+    node, _ = parser.formula()
     tail = parser.peek()
     if tail.kind != "end":
         raise FormulaSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)

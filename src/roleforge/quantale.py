@@ -118,24 +118,9 @@ class QuantaleOps:
         return join, tensor
 
 
-def quantale(frame: Frame) -> QuantaleOps:
-    """The quantale of a frame; its lattice is enumerated on first use."""
-    return QuantaleOps(frame)
-
-
 # ---------------------------------------------------------------------------
 # Law checking
 # ---------------------------------------------------------------------------
-
-GQ_LAWS = (
-    "tensor-associative",
-    "tensor-commutative",
-    "tensor-unital",
-    "tensor-distributes-over-join",
-    "negation-involutive",
-    "meet-de-morgan",
-)
-
 
 @dataclass
 class LawCheck:

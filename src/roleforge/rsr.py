@@ -295,20 +295,12 @@ class PositionSet:
         return cls(frame, mask)
 
     @classmethod
-    def empty(cls, frame: Frame) -> "PositionSet":
-        return cls(frame, 0)
-
-    @classmethod
     def full(cls, frame: Frame) -> "PositionSet":
         return cls(frame, full_mask(frame))
 
     def positions(self) -> tuple[Position, ...]:
         window = self.frame.window()
         return tuple(window[i] for i in _iter_bits(self.mask))
-
-    def __contains__(self, p: Position) -> bool:
-        idx = self.frame.window_index(p)
-        return idx is not None and bool(self.mask >> idx & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -325,15 +317,6 @@ class PositionSet:
 
     def __hash__(self):
         return hash((self.mask, self.frame))
-
-    def __le__(self, other: "PositionSet") -> bool:
-        return self.mask | other.mask == other.mask
-
-    def __and__(self, other: "PositionSet") -> "PositionSet":
-        return PositionSet(self.frame, self.mask & other.mask)
-
-    def __or__(self, other: "PositionSet") -> "PositionSet":
-        return PositionSet(self.frame, self.mask | other.mask)
 
     def __repr__(self):
         inner = ", ".join(p.render(self.frame.atoms) for p in self.positions())

@@ -40,14 +40,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .formulas import (
     Atom, Bin, CLASSICAL_OPS, Formula, LINEAR_OPS, Neg, binary_ops, parse_formula,
 )
 from .frames import Frame, FrameError, ModeMismatchError
 from .nmms import _desugar, _leaf_family
-from .quantale import IdempotenceError, QuantaleOps, quantale
+from .quantale import IdempotenceError, QuantaleOps
 from .rsr import Role, blocker_masks, closure, closure_mask, is_role
 
 CLAUSE_SETS = ("classical", "linear")
@@ -63,13 +63,6 @@ class Content:
 
     premisory: Role
     conclusory: Role
-
-
-class ContentSequent(NamedTuple):
-    """A two-sided sequent whose entries are contents or formulas."""
-
-    lhs: tuple
-    rhs: tuple
 
 
 FormulaLike = Union[Formula, str]
@@ -95,7 +88,7 @@ class Interpretation:
 
     @functools.cached_property
     def quantale(self) -> QuantaleOps:
-        return quantale(self.frame)
+        return QuantaleOps(self.frame)
 
     # -- atoms ----------------------------------------------------------------
 
@@ -259,15 +252,6 @@ class Interpretation:
             acc = q.tensor_mask(acc, minus)
         return q.leq_mask(acc, q.dualizer_mask)
 
-    def entails_sequent(self, sequent: Union[str, ContentSequent], clauses: str = "classical") -> bool:
-        if isinstance(sequent, str):
-            from .formulas import parse_sequent
-
-            lhs, rhs = parse_sequent(sequent)
-        else:
-            lhs, rhs = sequent.lhs, sequent.rhs
-        return self.entails(lhs, rhs, clauses)
-
     # -- structural properties of contents ----------------------------------------
 
     def is_reflexive_content(self, c: Content) -> bool:
@@ -310,14 +294,6 @@ def entails(
     clauses: str = "classical",
 ) -> bool:
     return interpretation(frame).entails(lhs, rhs, clauses)
-
-
-def is_reflexive_content(frame: Frame, c: Content) -> bool:
-    return interpretation(frame).is_reflexive_content(c)
-
-
-def satisfies_cut_condition(frame: Frame, c: Content) -> bool:
-    return interpretation(frame).satisfies_cut_condition(c)
 
 
 # ---------------------------------------------------------------------------

@@ -483,16 +483,20 @@ def mixed_preservation_suite(
 # ---------------------------------------------------------------------------
 
 
+# Cap-stability rechecks recompute at the frame's cap plus this.
+RECHECK_DELTA = 2
+
+
 def positions_within(frame: Frame, positions: Iterable[Position]) -> frozenset[Position]:
     return frozenset(p for p in positions if frame.in_window(p))
 
 
-def cap_stability_suite(frame: Frame, *, delta: int = 2) -> SuiteResult:
-    """Recompute every singleton closure at cap+delta and compare on the
-    original window; any drift means the window was too tight."""
+def cap_stability_suite(frame: Frame) -> SuiteResult:
+    """Recompute every singleton closure at cap+RECHECK_DELTA and compare on
+    the original window; any drift means the window was too tight."""
     from .rsr import closure
 
-    wide = frame.with_cap(frame.cap + delta)
+    wide = frame.with_cap(frame.cap + RECHECK_DELTA)
     result = SuiteResult("cap-stability", notes={"cap": frame.cap, "recheck_cap": wide.cap})
     for p in frame.window():
         small = frozenset(closure(frame, [p]).positions())

@@ -179,7 +179,7 @@ def test_criterion_02_counting_golden_reproduction():
         ok = ok and positions_within(frame, big.conclusory.positions()) == frozenset(
             small.conclusory.positions()
         )
-    stability = cap_stability_suite(frame, delta=2)
+    stability = cap_stability_suite(frame)
     ok = ok and stability.ok
 
     elapsed = time.monotonic() - t0

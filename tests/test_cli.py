@@ -9,7 +9,7 @@ import time
 import pytest
 
 from roleforge.cli import COMMANDS, _build_parser, main
-from roleforge.formulas import Atom, render_sequent
+from roleforge.formulas import MAX_DEPTH, Atom, render_sequent
 from roleforge.nmms import FormulaSequent, decide
 
 from conftest import FRAMES_DIR, REPO, seeded
@@ -475,6 +475,62 @@ def test_labels_file_of_the_wrong_shape_is_a_usage_error(capsys, tmp_path, table
     assert (code, out) == (2, "")
     assert err == (f"roleforge: error: labels file {labels}: expected a JSON object "
                    "mapping each alias to a list of position strings\n")
+
+
+def test_files_that_are_not_utf8_are_usage_errors(capsys, tmp_path):
+    frame = tmp_path / "latin1.frame"
+    frame.write_bytes(b"atoms = a\xff\nmode = set\nincoherent { }\n")
+    code, out, err = run(capsys, "validate", str(frame))
+    assert (code, out) == (2, "")
+    assert err == f"roleforge: error: frame file {frame}: not UTF-8 (byte 9)\n"
+    labels = tmp_path / "latin1.json"
+    labels.write_bytes(b'{"A\xff": []}')
+    code, out, err = run(capsys, "interp", GOLDEN, "a", "--labels", str(labels))
+    assert (code, out) == (2, "")
+    assert err == f"roleforge: error: labels file {labels}: not UTF-8 (byte 3)\n"
+
+
+BOTTOM = json.loads((REPO / "tests" / "data" / "nonmonotonic_labels.json").read_text())["Bottom"]
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"R0": BOTTOM}, "alias 'R0' has the form of a rank label R<i>"),
+    ({"R17": ["a |-"]}, "alias 'R17' has the form of a rank label R<i>"),
+    ({"Bottom": BOTTOM, "Floor": BOTTOM[::-1]},
+     "aliases 'Bottom' and 'Floor' name the same positions"),
+], ids=["rank-label-of-another-role", "rank-label-of-no-role", "two-aliases-one-role"])
+def test_ambiguous_labels_are_usage_errors(capsys, tmp_path, table, message):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(table))
+    code, out, err = run(capsys, "lattice", GOLDEN, "--labels", str(labels))
+    assert (code, out, err) == (2, "", f"roleforge: error: labels file {labels}: {message}\n")
+
+
+CHAIN = " \\/ ".join(["a"] * 1200)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("entails", "~" * 600 + "a |- a"),
+    ("trace", "~" * 600 + "a |- a"),
+    ("eval", "(" * 400 + "a" + ")" * 400),
+    ("entails", CHAIN + " |- a"),
+    ("nmms", CHAIN + " |- a"),
+], ids=["entails-negations", "trace-negations", "eval-parentheses", "entails-chain", "nmms-chain"])
+def test_formulas_nested_past_the_bound_are_usage_errors(capsys, command, text):
+    code, out, err = run(capsys, command, GOLDEN, text)
+    assert (code, out) == (2, "")
+    message = f"formula nests deeper than {MAX_DEPTH} levels"
+    assert re.fullmatch(rf"roleforge: error: column \d+: {message}\n", err)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("entails", "~" * MAX_DEPTH + "a |- a"),
+    ("trace", "~" * MAX_DEPTH + "a |- a"),
+    ("eval", "(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH),
+    ("nmms", " \\/ ".join(["a"] * (MAX_DEPTH + 1)) + " |- a"),
+], ids=["entails-negations", "trace-negations", "eval-parentheses", "nmms-chain"])
+def test_formulas_nested_to_the_bound_answer(capsys, command, text):
+    assert run(capsys, command, GOLDEN, text)[0] == 0
 
 
 def test_conservativity_on_a_five_atom_frame(capsys, tmp_path):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roleforge.formulas import (
-    Atom, Bin, FormulaSyntaxError, Neg, atoms_of, binary_ops, connective_count,
-    depth, parse_formula, parse_sequent, render, render_sequent,
+    MAX_DEPTH, Atom, Bin, FormulaSyntaxError, Neg, atoms_of, binary_ops, depth,
+    parse_formula, parse_sequent, render, render_sequent,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -58,8 +58,33 @@ def test_metadata_helpers():
     f = parse_formula("~a /\\ (b -> a)")
     assert atoms_of(f) == {"a", "b"}
     assert binary_ops(f) == {"and", "imp"}
-    assert connective_count(f) == 3
     assert depth(f) == 2
+
+
+DEEP_SHAPES = {
+    "negations": lambda n: "~" * n + "a",
+    "left-chain": lambda n: " \\/ ".join(["a"] * (n + 1)),
+    "right-nested": lambda n: "a -> (" * (n - 1) + "a -> a" + ")" * (n - 1),
+    "mixed": lambda n: "~(a * " * (n // 2) + "a" + ")" * (n // 2),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
+def test_formula_depth_is_bounded(shape):
+    assert depth(parse_formula(shape(MAX_DEPTH))) == MAX_DEPTH
+    with pytest.raises(FormulaSyntaxError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse_formula(shape(MAX_DEPTH + 2))
+    with pytest.raises(FormulaSyntaxError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse_sequent(f"a, {shape(MAX_DEPTH + 2)} |- a")
+
+
+def test_parenthesis_nesting_is_bounded():
+    assert parse_formula("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == a
+    with pytest.raises(FormulaSyntaxError, match=f"column {MAX_DEPTH + 1}: formula nests"):
+        parse_formula("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1))
+    # A negation chain is read in a loop, so its length costs no recursion.
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse_formula("~" * 100_000 + "a")
 
 
 _formulas = st.deferred(

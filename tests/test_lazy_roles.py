@@ -12,10 +12,10 @@
   closure, the conservativity suite and the morphism checks still answer.
 """
 
-import importlib
-
 import pytest
 
+import roleforge.quantale as quantale_module
+import roleforge.rsr as rsr_module
 from roleforge.cli import main
 from roleforge.formulas import Atom, Bin, Neg, parse_formula
 from roleforge.frames import Frame, FrameError, parse_frame
@@ -26,11 +26,6 @@ from roleforge.suites import conservativity_suite
 
 from conftest import FRAMES_DIR, kernel_frames, seeded
 from test_quantale import reference_tensor_sums
-
-# The package re-exports the functions rsr() and quantale() under the
-# modules' names, so fetch the modules themselves.
-rsr_module = importlib.import_module("roleforge.rsr")
-quantale_module = importlib.import_module("roleforge.quantale")
 
 CLASSICAL = ("and", "or", "imp")
 LINEAR = ("tensor", "plus", "parr", "with")

@@ -1,7 +1,7 @@
 import pytest
 
 from roleforge.frames import Frame, parse_frame
-from roleforge.quantale import IdempotenceError, check_gq_laws, is_join_idempotent, quantale
+from roleforge.quantale import IdempotenceError, QuantaleOps, check_gq_laws, is_join_idempotent
 from roleforge.rsr import (
     LatticeSizeError, PositionSet, Role, closure_mask, is_role, role_lattice, rsr_mask,
     tensor_closure,
@@ -32,7 +32,7 @@ TENSOR_TABLE = [
 
 @pytest.fixture()
 def golden_q(golden_frame):
-    return quantale(golden_frame)
+    return QuantaleOps(golden_frame)
 
 
 def _mask_by_name(q, golden_roles):
@@ -117,7 +117,7 @@ def test_parr_examples(golden_q):
 
 
 def test_parr_counting_empty(counting_frame):
-    q = quantale(counting_frame)
+    q = QuantaleOps(counting_frame)
     one_zero = PositionSet.from_positions(counting_frame, [counting_frame.position(("x",), ())])
     zero_one = PositionSet.from_positions(counting_frame, [counting_frame.position((), ("x",))])
     assert is_role(counting_frame, one_zero) and is_role(counting_frame, zero_one)
@@ -126,7 +126,7 @@ def test_parr_counting_empty(counting_frame):
 
 def test_parr_unit_on_one_atom_frames():
     for f in all_one_atom_set_frames():
-        q = quantale(f)
+        q = QuantaleOps(f)
         d = q.dualizer_mask
         assert all(q.parr_mask(a, d) == a for a in _masks(q))
 
@@ -144,8 +144,8 @@ def test_tilde_join(golden_q, golden_roles):
 def test_tilde_join_is_least_upper_bound_among_idempotents(golden_q):
     rng = seeded(17)
     lattices = [golden_q]
-    lattices += [quantale(f) for f in all_one_atom_set_frames()]
-    lattices += [quantale(random_set_frame(rng)) for _ in range(5)]
+    lattices += [QuantaleOps(f) for f in all_one_atom_set_frames()]
+    lattices += [QuantaleOps(random_set_frame(rng)) for _ in range(5)]
     for q in lattices:
         if len(q.lattice) > 40:
             continue
@@ -161,7 +161,7 @@ def test_tilde_join_is_least_upper_bound_among_idempotents(golden_q):
 
 
 def test_tilde_join_rejects_non_idempotent(counting_frame):
-    q = quantale(counting_frame)
+    q = QuantaleOps(counting_frame)
     one_zero = PositionSet.from_positions(counting_frame, [counting_frame.position(("x",), ())])
     assert is_role(counting_frame, one_zero)
     mask = one_zero.mask
@@ -184,12 +184,12 @@ def test_idempotent_subquantale(golden_q):
 def test_gq_laws_golden_and_one_atom(golden_q):
     assert check_gq_laws(golden_q).ok
     for f in all_one_atom_set_frames():
-        report = check_gq_laws(quantale(f))
+        report = check_gq_laws(QuantaleOps(f))
         assert report.ok, report.summary()
 
 
 def test_gq_laws_corrupted_table_reports_violation(golden_frame):
-    q = quantale(golden_frame)
+    q = QuantaleOps(golden_frame)
     clean = check_gq_laws(q)
     assert clean.ok
     # force a wrong cell into the memo table: unit x top := bottom
@@ -202,7 +202,7 @@ def test_gq_laws_corrupted_table_reports_violation(golden_frame):
 
 def test_dualizing_residual_property(golden_q):
     """neg(A) is the residual into the dualizer: A x B <= dualizer iff B <= neg(A)."""
-    for f_q in [golden_q] + [quantale(f) for f in all_one_atom_set_frames()]:
+    for f_q in [golden_q] + [QuantaleOps(f) for f in all_one_atom_set_frames()]:
         masks = _masks(f_q)
         if len(masks) > 64:
             continue
@@ -221,8 +221,8 @@ def test_is_join_idempotent(golden_q, counting_frame):
     assert is_join_idempotent(golden_q)
     base = Frame(("a",), "set")
     all_in = Frame(("a",), "set", explicit=list(base.window()))
-    assert is_join_idempotent(quantale(all_in))
-    verdict = is_join_idempotent(quantale(counting_frame))  # informational
+    assert is_join_idempotent(QuantaleOps(all_in))
+    verdict = is_join_idempotent(QuantaleOps(counting_frame))  # informational
     assert isinstance(verdict, bool)
 
 
@@ -251,7 +251,7 @@ def test_is_join_idempotent_matches_reference_loop():
             role_lattice(frame, max_roles=1100)
         except LatticeSizeError:
             continue
-        q = quantale(frame)
+        q = QuantaleOps(frame)
         verdict = is_join_idempotent(q)
         assert verdict == reference_is_join_idempotent(q), repr(frame)
         verdicts.append(verdict)
@@ -261,7 +261,7 @@ def test_is_join_idempotent_matches_reference_loop():
 def test_gq_laws_sampled_above_threshold():
     rng = seeded(3)
     f = random_set_frame(rng, density=0.35)
-    q = quantale(f)
+    q = QuantaleOps(f)
     report = check_gq_laws(q, seed=9, exhaustive_limit=2, samples=200)
     assert not report.exhaustive
     assert report.ok, report.summary()
@@ -269,14 +269,14 @@ def test_gq_laws_sampled_above_threshold():
 
 def test_window_relative_flag(golden_q, counting_frame):
     assert not golden_q.window_relative
-    assert quantale(counting_frame).window_relative
+    assert QuantaleOps(counting_frame).window_relative
 
 
 def test_law_checker_reports_window_boundary_honestly(counting_frame):
     """On a capped multiset window, the laws that live on the Galois
     connection alone are exact; tensor-shaped laws may break at the boundary
     and the checker's job is to report them, never to mask them."""
-    report = check_gq_laws(quantale(counting_frame))
+    report = check_gq_laws(QuantaleOps(counting_frame))
     by_law = {c.law: c for c in report.checks}
     assert by_law["negation-involutive"].ok
     assert by_law["meet-de-morgan"].ok
@@ -287,7 +287,7 @@ def test_law_checker_reports_window_boundary_honestly(counting_frame):
 
 
 def test_tensor_and_join_are_monotone(golden_q):
-    for q in [golden_q] + [quantale(f) for f in all_one_atom_set_frames()]:
+    for q in [golden_q] + [QuantaleOps(f) for f in all_one_atom_set_frames()]:
         masks = _masks(q)
         for a in masks:
             for b in masks:
@@ -337,7 +337,7 @@ def test_tensor_tables_match_per_pair_sums(counting_frame):
             role_lattice(frame, max_roles=40)
         except LatticeSizeError:
             continue
-        q = quantale(frame)
+        q = QuantaleOps(frame)
         n = len(q.lattice)
         expected = [[None] * n for _ in range(n)]
         for a in range(n):

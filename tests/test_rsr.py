@@ -77,11 +77,11 @@ def test_counting_blockers_are_difference_translates(counting_frame):
 def test_counting_tensor_of_translate_roles(counting_frame):
     """Tensoring translate roles sums their offsets and re-normalizes to the
     smallest same-difference pair, witnessed by the naive-oracle closure."""
-    from roleforge.quantale import quantale
+    from roleforge.quantale import QuantaleOps
     from roleforge.oracles import rsr_naive
 
     f = counting_frame
-    q = quantale(f)
+    q = QuantaleOps(f)
     r30 = closure(f, [Position((3,), (0,))])
     r01 = closure(f, [Position((0,), (1,))])
     prod = Role(f, q.tensor_mask(r30.mask, r01.mask))

@@ -7,7 +7,7 @@ import pytest
 
 from roleforge.formulas import Bin, Neg, parse_formula, parse_sequent
 from roleforge.frames import Frame, FrameError, Position
-from roleforge.quantale import quantale
+from roleforge.quantale import QuantaleOps
 from roleforge.rsr import PositionSet, Role, is_role
 from roleforge.semantics import (
     ClauseError, Content, Interpretation, connective_clause, entails, eval_formula,
@@ -189,8 +189,8 @@ def test_entails_accepts_contents_and_strings(golden_frame):
     interp = interpretation(golden_frame)
     ca = interp.atom("a")
     assert interp.entails([ca], [ca, interp.atom("b")])
-    assert interp.entails_sequent("a |- a, b")
-    assert not interp.entails_sequent("b |- a")
+    assert interp.entails(*parse_sequent("a |- a, b"))
+    assert not interp.entails(*parse_sequent("b |- a"))
 
 
 # -- content structure ----------------------------------------------------------------
@@ -244,7 +244,7 @@ def test_clause_agreement_window_relative(counting_frame):
 
 
 def test_and_clause_agreement_on_idempotents(golden_frame):
-    q = quantale(golden_frame)
+    q = QuantaleOps(golden_frame)
     for x in idempotent_masks(q):
         for y in idempotent_masks(q):
             a, b = (x, x), (y, y)
